@@ -65,17 +65,26 @@ def _emit(text, out_path):
             fh.write(text)
 
 
+# Series class of each kind letter, as in ``cache save --kind`` and the
+# list tables' names.
+_SERIES = {"p": series.PartitionSeries, "q": series.DistinctSeries}
+
+
+def _kind_of(s):
+    return "p" if s.KIND == series.PartitionSeries.KIND else "q"
+
+
 def _load_p_cache(path):
     loaded = series.load_series(path)
-    if not isinstance(loaded, series.PartitionSeries):
+    if _kind_of(loaded) != "p":
         raise ValueError(f"{path} holds a Q series; scalar commands need a P cache")
     return loaded
 
 
 def _plan_for(kind, n, m, constant):
     if kind == "q":
-        n = n - m * (m - 1) // 2
-        if n < 0:
+        n = core._staircase(n, m)
+        if n is None:
             return core.StepEstimate(0, 0, core.FAST_PATH)
     return core.dispatch_plan(n, m, constant)
 
@@ -126,59 +135,37 @@ def _cmd_scalar(args):
     distinct = args.kind == "q"
     if args.oracle:
         value = oracle.count_partitions(args.n, args.m, distinct=distinct)
-    elif distinct:
-        value = core.q_parts(
-            args.n, args.m, cache, args.crossover_constant, args.algorithm
-        )
     else:
-        value = core.p_parts(
-            args.n, args.m, cache, args.crossover_constant, args.algorithm
-        )
+        count = core.q_parts if distinct else core.p_parts
+        value = count(args.n, args.m, cache, args.crossover_constant, args.algorithm)
     plan = None
     if args.explain:
         plan = _plan_for(args.kind, args.n, args.m, args.crossover_constant)
     _emit(_scalar_output(args, value, plan), args.out)
 
 
-def _cmd_p_row(args):
-    values = lists.p_row(args.n)
-    _emit(_sequence_output(args, "p-row", {"n": args.n}, 1, values), args.out)
+def _cmd_row(args):
+    values = (lists.p_row if args.kind == "p" else lists.q_row)(args.n)
+    _emit(_sequence_output(args, args.table, {"n": args.n}, 1, values), args.out)
 
 
-def _cmd_p_col(args):
-    # n < m means the column has no entries, not that the call is bad
-    if args.n < args.m:
-        values = []
+def _cmd_col(args):
+    n, m = args.n, args.m
+    if args.kind == "q":
+        values = lists.q_column(n, m, strategy=args.strategy)
+        start = m * (m + 1) // 2
     else:
-        values = lists.p_column(args.n, args.m, strategy=args.strategy)
-    params = {"n": args.n, "m": args.m}
-    _emit(_sequence_output(args, "p-col", params, args.m, values), args.out)
+        # n < m means the column has no entries, not that the call is bad
+        values = [] if n < m else lists.p_column(n, m, strategy=args.strategy)
+        start = m
+    _emit(_sequence_output(args, args.table, {"n": n, "m": m}, start, values), args.out)
 
 
-def _cmd_q_row(args):
-    values = lists.q_row(args.n)
-    _emit(_sequence_output(args, "q-row", {"n": args.n}, 1, values), args.out)
-
-
-def _cmd_q_col(args):
-    values = lists.q_column(args.n, args.m, strategy=args.strategy)
-    start = args.m * (args.m + 1) // 2
-    params = {"n": args.n, "m": args.m}
-    _emit(_sequence_output(args, "q-col", params, start, values), args.out)
-
-
-def _cmd_p_series(args):
-    s = series.PartitionSeries(algorithm=args.series_algorithm)
+def _cmd_series(args):
+    s = _SERIES[args.kind](algorithm=args.series_algorithm)
     s.ensure(args.n)
     params = {"n": args.n, "algorithm": args.series_algorithm}
-    _emit(_sequence_output(args, "p-series", params, 0, s.values), args.out)
-
-
-def _cmd_q_series(args):
-    s = series.DistinctSeries(algorithm=args.series_algorithm)
-    s.ensure(args.n)
-    params = {"n": args.n, "algorithm": args.series_algorithm}
-    _emit(_sequence_output(args, "q-series", params, 0, s.values), args.out)
+    _emit(_sequence_output(args, args.table, params, 0, s.values), args.out)
 
 
 def _parse_m_range(text, n):
@@ -303,14 +290,10 @@ def _cmd_bench(args):
 
 
 def _cmd_cache_save(args):
-    s = series.DistinctSeries() if args.kind == "q" else series.PartitionSeries()
+    s = _SERIES[args.kind]()
     s.ensure(args.n)
     series.save_series(s, args.path)
     print(f"wrote {len(s.values)} values to {args.path}")
-
-
-def _kind_of(s):
-    return "p" if isinstance(s, series.PartitionSeries) else "q"
 
 
 def _cmd_cache_load(args):
@@ -325,6 +308,18 @@ def _cmd_cache_info(args):
     print(f"sha256: {series.series_checksum(s)}")
 
 
+# ``partita list`` tables, in help order; the name is "<kind>-<shape>".
+_LIST_TABLES = (
+    ("p-row", "P(n, m) for m = 1..n"),
+    ("p-col", "P(i, m) for i = m..n"),
+    ("q-row", "Q(n, m) for all feasible m"),
+    ("q-col", "Q(i, m) for i = m(m+1)/2..n"),
+    ("p-series", "P(0), P(1), ..., P(n)"),
+    ("q-series", "Q(0), Q(1), ..., Q(n)"),
+)
+_LIST_COMMANDS = {"row": _cmd_row, "col": _cmd_col, "series": _cmd_series}
+
+
 def build_parser():
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
@@ -337,7 +332,7 @@ def build_parser():
     scalar.add_argument("n", type=_index, help="number being partitioned")
     scalar.add_argument("m", type=_index, help="number of parts")
     scalar.add_argument(
-        "--algorithm", choices=("auto", "alg1", "alg2", "closed"), default="auto",
+        "--algorithm", choices=core._METHODS, default="auto",
         help="force a computation route (default auto)",
     )
     scalar.add_argument(
@@ -362,61 +357,33 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser(
-        "p", parents=[scalar, fmt], help="partitions of N into exactly M parts"
-    )
-    sp.set_defaults(func=_cmd_scalar, kind="p")
-    sq = sub.add_parser(
-        "q", parents=[scalar, fmt], help="partitions of N into M distinct parts"
-    )
-    sq.set_defaults(func=_cmd_scalar, kind="q")
+    for kind, help_text in (
+        ("p", "partitions of N into exactly M parts"),
+        ("q", "partitions of N into M distinct parts"),
+    ):
+        sp = sub.add_parser(kind, parents=[scalar, fmt], help=help_text)
+        sp.set_defaults(func=_cmd_scalar, kind=kind)
 
     lst = sub.add_parser("list", help="whole rows, columns and series prefixes")
     lsub = lst.add_subparsers(dest="table", required=True)
 
-    pr = lsub.add_parser("p-row", parents=[fmt], help="P(n, m) for m = 1..n")
-    pr.add_argument("n", type=_positive)
-    pr.set_defaults(func=_cmd_p_row)
-
-    pc = lsub.add_parser("p-col", parents=[fmt], help="P(i, m) for i = m..n")
-    pc.add_argument("n", type=_index)
-    pc.add_argument("m", type=_index)
-    pc.add_argument(
-        "--strategy", choices=("auto", "direct", "conv"), default="auto",
-        help="column construction route (default auto)",
-    )
-    pc.set_defaults(func=_cmd_p_col)
-
-    qr = lsub.add_parser("q-row", parents=[fmt], help="Q(n, m) for all feasible m")
-    qr.add_argument("n", type=_positive)
-    qr.set_defaults(func=_cmd_q_row)
-
-    qc = lsub.add_parser(
-        "q-col", parents=[fmt], help="Q(i, m) for i = m(m+1)/2..n"
-    )
-    qc.add_argument("n", type=_index)
-    qc.add_argument("m", type=_index)
-    qc.add_argument(
-        "--strategy", choices=("auto", "direct", "conv"), default="auto",
-        help="column construction route (default auto)",
-    )
-    qc.set_defaults(func=_cmd_q_col)
-
-    ps = lsub.add_parser("p-series", parents=[fmt], help="P(0), P(1), ..., P(n)")
-    ps.add_argument("n", type=_index)
-    ps.add_argument(
-        "--series-algorithm", choices=series.PartitionSeries.ALGORITHMS,
-        default="ewell", help="recurrence used to extend the series",
-    )
-    ps.set_defaults(func=_cmd_p_series)
-
-    qs = lsub.add_parser("q-series", parents=[fmt], help="Q(0), Q(1), ..., Q(n)")
-    qs.add_argument("n", type=_index)
-    qs.add_argument(
-        "--series-algorithm", choices=series.DistinctSeries.ALGORITHMS,
-        default="merca", help="recurrence used to extend the series",
-    )
-    qs.set_defaults(func=_cmd_q_series)
+    for table, help_text in _LIST_TABLES:
+        kind, shape = table.split("-")
+        sp = lsub.add_parser(table, parents=[fmt], help=help_text)
+        sp.add_argument("n", type=_positive if shape == "row" else _index)
+        if shape == "col":
+            sp.add_argument("m", type=_index)
+            sp.add_argument(
+                "--strategy", choices=lists._STRATEGIES, default="auto",
+                help="column construction route (default auto)",
+            )
+        elif shape == "series":
+            algorithms = _SERIES[kind].ALGORITHMS
+            sp.add_argument(
+                "--series-algorithm", choices=algorithms,
+                default=algorithms[0], help="recurrence used to extend the series",
+            )
+        sp.set_defaults(func=_LIST_COMMANDS[shape], kind=kind)
 
     bench = sub.add_parser(
         "bench", parents=[fmt],

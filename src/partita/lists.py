@@ -12,13 +12,15 @@ instead of dispatching scalar calls:
   shift Q(n, m) = P(n - m*(m - 1)/2, m).
 
 Convolution is plain schoolbook over exact integers (see
-``causal_convolution``); a full row costs O(n^2) arithmetic operations.
+``causal_convolution``).  A full row runs about sqrt(2n/3)
+convolutions of lengths up to n, about 0.14 * n^2.5 exact
+multiplications in all (4.28e6 at n = 1000, 1.49e8 at n = 4000).
 """
 
 from math import isqrt
 from operator import add, mul, sub
 
-from .core import _stage_update, expansion_depth
+from .core import _recurrence_array, _stage_update, _staircase, expansion_depth
 from .series import PartitionSeries, _check_index, shared_p_series
 
 __all__ = [
@@ -36,6 +38,13 @@ __all__ = [
 # performance knob; both strategies return identical values.
 COLUMN_SCALE = 0.21
 COLUMN_POWER = 0.78
+
+_STRATEGIES = ("auto", "direct", "conv")
+
+
+def _check_strategy(strategy):
+    if strategy not in _STRATEGIES:
+        raise ValueError(f"unknown column strategy {strategy!r}")
 
 
 def causal_convolution(a, b):
@@ -61,14 +70,15 @@ def _row_split(n):
 
 
 def p_row(n: int, cache: PartitionSeries | None = None) -> list:
-    """[P(n, 1), P(n, 2), ..., P(n, n)] in O(n^2).
+    """[P(n, 1), P(n, 2), ..., P(n, n)].
 
     Entries below the split point come from one shared recurrence array,
     reading P(n, i) after stage i.  Entries at or above it start from
     P(n - m) and receive alternating corrections: for each order i, one
     convolution of the array prefix (holding the distinct-part counts
     Q(., i)) with the cached series is computed in full and then sampled
-    at stride i + 1, hitting every m at once.  Requires n >= 1; extends
+    at stride i + 1, hitting every m at once.  The convolutions cost
+    about 0.14 * n^2.5 exact multiplications.  Requires n >= 1; extends
     the cache as needed.
     """
     _check_index(n, "n")
@@ -99,16 +109,6 @@ def p_row(n: int, cache: PartitionSeries | None = None) -> list:
     return out[1:]
 
 
-def _column_direct(n, m):
-    # recurrence array after stage min(m, n - m) IS the column:
-    # slot j holds P(m + j, m)
-    size = n - m
-    a = [1] * (size + 1)
-    for i in range(2, min(m, size) + 1):
-        _stage_update(a, i, size)
-    return a
-
-
 def _column_conv(n, m, cache):
     size = n - m
     cache.ensure(size)
@@ -136,8 +136,6 @@ def p_column(
     m: int,
     cache: PartitionSeries | None = None,
     strategy: str = "auto",
-    scale: float = COLUMN_SCALE,
-    power: float = COLUMN_POWER,
 ) -> list:
     """[P(m, m), P(m + 1, m), ..., P(n, m)]; for m = 0 it is [1, 0, ..., 0].
 
@@ -145,20 +143,19 @@ def p_column(
     small m); "conv" builds the same values by convolution against the
     cached series, here sampled densely since consecutive entries sit
     one slot apart (good for large m).  "auto" picks direct exactly when
-    m < scale * n**power.  Requires 0 <= m <= n.
+    m < COLUMN_SCALE * n**COLUMN_POWER.  Requires 0 <= m <= n.
     """
     _check_index(n, "n")
     _check_index(m, "m")
+    _check_strategy(strategy)
     if m > n:
         raise ValueError("p_column requires m <= n")
     if m == 0:
         return [1] + [0] * n
     if strategy == "auto":
-        strategy = "direct" if m < scale * float(n) ** power else "conv"
+        strategy = "direct" if m < COLUMN_SCALE * float(n) ** COLUMN_POWER else "conv"
     if strategy == "direct":
-        return _column_direct(n, m)
-    if strategy != "conv":
-        raise ValueError(f"unknown column strategy {strategy!r}")
+        return _recurrence_array(n, m)
     cache = shared_p_series() if cache is None else cache
     return _column_conv(n, m, cache)
 
@@ -191,8 +188,6 @@ def q_column(
     m: int,
     cache: PartitionSeries | None = None,
     strategy: str = "auto",
-    scale: float = COLUMN_SCALE,
-    power: float = COLUMN_POWER,
 ) -> list:
     """[Q(m*(m + 1)/2, m), ..., Q(n, m)]: the by-total column of Q.
 
@@ -201,7 +196,8 @@ def q_column(
     """
     _check_index(n, "n")
     _check_index(m, "m")
-    shifted = n - m * (m - 1) // 2
-    if shifted < m:
+    shifted = _staircase(n, m)
+    if shifted is None:
+        _check_strategy(strategy)
         return []
-    return p_column(shifted, m, cache, strategy, scale, power)
+    return p_column(shifted, m, cache, strategy)

@@ -142,21 +142,24 @@ def _extend_q_merca(values, n):
         values.append(total)
 
 
-class PartitionSeries:
-    """Materialized prefix of P(0), P(1), ... with on-demand extension.
+class _Series:
+    """Materialized prefix of a partition-number series with on-demand
+    extension.
 
-    ``values[i]`` is the number of partitions of i; ``values[0] == 1``.
-    The recurrence only ever looks backward, so extension is a single
-    append-only sweep from the first missing index.
+    ``values[i]`` is the i-th count and ``values[0] == 1``.  The
+    recurrences only ever look backward, so extension is a single
+    append-only sweep from the first missing index.  Subclasses name
+    their recurrences in ``ALGORITHMS`` (the first is the default), their
+    cache header in ``KIND``, and supply the sweep as ``_extend``.
     """
-
-    ALGORITHMS = ("ewell", "euler")
 
     __slots__ = ("values", "algorithm")
 
-    def __init__(self, algorithm="ewell", values=None):
+    def __init__(self, algorithm=None, values=None):
+        if algorithm is None:
+            algorithm = self.ALGORITHMS[0]
         if algorithm not in self.ALGORITHMS:
-            raise ValueError(f"unknown P-series algorithm {algorithm!r}")
+            raise ValueError(f"unknown {self.KIND[0]}-series algorithm {algorithm!r}")
         self.algorithm = algorithm
         self.values = [1] if values is None else values
 
@@ -177,47 +180,42 @@ class PartitionSeries:
             return
         if not self.values:
             self.values.append(1)
+        self._extend(n)
+
+
+class PartitionSeries(_Series):
+    """Materialized prefix of P(0), P(1), ...; ``values[i]`` is the
+    number of partitions of i."""
+
+    ALGORITHMS = ("ewell", "euler")
+    KIND = "PCACHE"
+
+    __slots__ = ()
+
+    def _extend(self, n):
         if self.algorithm == "euler":
             _extend_p_euler(self.values, n)
         else:
             _extend_p_ewell(self.values, n)
 
 
-class DistinctSeries:
-    """Materialized prefix of Q(0), Q(1), ... with on-demand extension.
+class DistinctSeries(_Series):
+    """Materialized prefix of Q(0), Q(1), ...
 
     The "ewell" recurrence reads a PartitionSeries (one is created on
     first use unless supplied); "merca" is self-contained.
     """
 
     ALGORITHMS = ("merca", "ewell")
+    KIND = "QCACHE"
 
-    __slots__ = ("values", "algorithm", "p_series")
+    __slots__ = ("p_series",)
 
-    def __init__(self, algorithm="merca", values=None, p_series=None):
-        if algorithm not in self.ALGORITHMS:
-            raise ValueError(f"unknown Q-series algorithm {algorithm!r}")
-        self.algorithm = algorithm
-        self.values = [1] if values is None else values
+    def __init__(self, algorithm=None, values=None, p_series=None):
+        super().__init__(algorithm, values)
         self.p_series = p_series
 
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, n):
-        self.ensure(n)
-        return self.values[n]
-
-    def __repr__(self):
-        return f"{type(self).__name__}(algorithm={self.algorithm!r}, len={len(self.values)})"
-
-    def ensure(self, n):
-        """Materialize values[0..n]; no-op when already present."""
-        _check_index(n)
-        if n < len(self.values):
-            return
-        if not self.values:
-            self.values.append(1)
+    def _extend(self, n):
         if self.algorithm == "ewell":
             if self.p_series is None:
                 self.p_series = PartitionSeries()
@@ -245,8 +243,7 @@ def serialize_series(series) -> bytes:
     encoding is byte-deterministic, so save/load/save round-trips are
     byte-identical.
     """
-    kind = "PCACHE" if isinstance(series, PartitionSeries) else "QCACHE"
-    parts = [f"{kind} v1 {len(series.values)}"]
+    parts = [f"{series.KIND} v1 {len(series.values)}"]
     parts.extend(map(str, series.values))
     parts.append("")
     return "\n".join(parts).encode("ascii")
@@ -261,22 +258,27 @@ def load_series(path):
 
     Returns a PartitionSeries or DistinctSeries according to the header.
     Malformed input raises CacheFormatError naming the bad line; checks
-    cover the header shape, the promised value count, decimal syntax of
-    every value line, and values[0] == 1 for nonempty caches.
+    cover ASCII text, the header shape, the promised value count,
+    decimal syntax of every value line, values within the interpreter's
+    int-string digit limit, and values[0] == 1 for nonempty caches.
     """
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("ascii")
     except UnicodeDecodeError as exc:
-        raise CacheFormatError(1, "cache file is not ASCII text") from exc
+        # the line splitlines() below would put the bad byte on
+        line = len((raw[: exc.start].decode("ascii") + "x").splitlines())
+        raise CacheFormatError(line, "cache file is not ASCII text") from exc
     lines = text.splitlines()
     if not lines:
         raise CacheFormatError(1, "empty file, expected a PCACHE/QCACHE header")
     match = _HEADER_RE.match(lines[0])
     if match is None:
         raise CacheFormatError(1, f"bad header {lines[0]!r}")
-    kind, count = match.group(1), int(match.group(2))
-    if len(lines) - 1 != count:
+    # compared as text: a count over the int-string digit limit cannot
+    # be converted, and leading zeros are already rejected
+    kind, count = match.group(1), match.group(2)
+    if count != str(len(lines) - 1):
         raise CacheFormatError(
             len(lines), f"header promises {count} values, file has {len(lines) - 1}"
         )
@@ -284,12 +286,15 @@ def load_series(path):
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.isdigit():
             raise CacheFormatError(lineno, f"not a decimal value: {line!r}")
-        values.append(int(line))
+        try:
+            values.append(int(line))
+        except ValueError as exc:  # over the interpreter's int-string digit limit
+            message = f"{len(line)}-digit value exceeds the interpreter's limit"
+            raise CacheFormatError(lineno, message) from exc
     if values and values[0] != 1:
         raise CacheFormatError(2, "first value must be 1")
-    if kind == "PCACHE":
-        return PartitionSeries(values=values)
-    return DistinctSeries(values=values)
+    cls = PartitionSeries if kind == PartitionSeries.KIND else DistinctSeries
+    return cls(values=values)
 
 
 def series_checksum(series) -> str:

@@ -340,9 +340,27 @@ def test_cache_info_empty(capsys, tmp_path):
     assert "length: 0" in out
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 @pytest.mark.parametrize(
     "payload",
-    [b"garbage\n", b"PCACHE v1 3\n1\n2\n", b"PCACHE v1 1\n9\n", b"PCACHE v1 2\n1\nx\n"],
+    [
+        b"garbage\n",
+        b"PCACHE v1 3\n1\n2\n",
+        b"PCACHE v1 1\n9\n",
+        b"PCACHE v1 2\n1\nx\n",
+        pytest.param(
+            b"PCACHE v1 2\n1\n" + b"1" * (DIGIT_LIMIT + 1) + b"\n",
+            marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit"),
+            id="over-digit-limit",
+        ),
+        pytest.param(
+            b"PCACHE v1 " + b"1" * (DIGIT_LIMIT + 1) + b"\n1\n",
+            marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit"),
+            id="header-over-digit-limit",
+        ),
+    ],
 )
 def test_corrupt_cache_exit_3(capsys, tmp_path, payload):
     path = tmp_path / "bad.cache"

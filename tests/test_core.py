@@ -17,13 +17,16 @@ from partita import (
     alg2_steps,
     analytic_crossover,
     analytic_crossover_floor,
+    core,
     dispatch_plan,
     expansion_depth,
+    p_column,
     p_parts,
     p_parts_alg1,
     p_parts_alg2,
     p_parts_closed,
     practical_crossover,
+    q_column,
     q_parts,
 )
 
@@ -72,6 +75,22 @@ def test_algorithms_agree_exhaustively():
             a = p_parts_alg1(n, m)
             assert a == p_parts_alg2(n, m, cache)
             assert a == p_parts(n, m, cache)
+
+
+@pytest.mark.parametrize("i", [2, 5, core._BLOCK_STRIDE - 1, core._BLOCK_STRIDE, 97, 300])
+def test_stage_update_matches_slotwise_loop(i):
+    # both execution regimes: small and large tables, with last short
+    # of, at and off a stride multiple
+    big = core._BLOCK_SLOTS
+    edges = (big - 2, big - 1, (big // i + 1) * i, big + 3 * i + 1)
+    for last in (i - 1, i, 2 * i, 7 * i - 2) + edges:
+        start = list(range(1, last + 4))
+        want = start[:]
+        for p in range(i, last + 1):
+            want[p] += want[p - i]
+        got = start[:]
+        core._stage_update(got, i, last)
+        assert got == want, (i, last)
 
 
 def test_closed_forms_match_alg1():
@@ -325,3 +344,21 @@ def test_big_value_integrity():
     v = p_parts(1000, 100)
     assert v == p_parts(1000, 100, method="alg1")
     assert v > 10**29
+
+
+@pytest.mark.parametrize(
+    "fn,args,options",
+    [
+        (p_parts, (5, 0), {"method": "magic"}),
+        (p_parts, (3, 5), {"constant": -1}),
+        (q_parts, (100, 20), {"method": "magic"}),
+        (q_parts, (5, 3), {"constant": "abc"}),
+        (p_column, (5, 0), {"strategy": "magic"}),
+        (q_column, (5, 3), {"strategy": "magic"}),
+        (dispatch_plan, (10, 8), {"constant": -1}),
+    ],
+)
+def test_bad_options_rejected_before_trivial_cases(fn, args, options):
+    # the same values raise on non-trivial inputs, so they must here too
+    with pytest.raises(ValueError):
+        fn(*args, **options)

@@ -1,0 +1,93 @@
+"""Route observability: every route is reached through a module or
+class attribute looked up at call time, so a wrapper patched onto that
+attribute sees each call.  Tracing tools rely on this to attribute time
+to alg1, alg2, the closed forms, convolutions and series growth."""
+
+from collections import Counter
+
+import pytest
+
+from partita import core, lists, series
+
+# unpatched reference, bound before any test patches the module
+_alg1 = core.p_parts_alg1
+
+PATCHED = (
+    (core, "p_parts_alg1"),
+    (core, "p_parts_alg2"),
+    (core, "p_parts_closed"),
+    (lists, "causal_convolution"),
+    (series.PartitionSeries, "ensure"),
+    (series.DistinctSeries, "ensure"),
+)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    seen = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, attr in PATCHED:
+        name = f"{owner.__name__.rsplit('.', 1)[-1]}.{attr}"
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "n,m,method,route",
+    [
+        (400, 3, "auto", "core.p_parts_closed"),
+        (400, 20, "auto", "core.p_parts_alg1"),
+        (400, 100, "auto", "core.p_parts_alg2"),
+        (400, 100, "alg1", "core.p_parts_alg1"),
+        (400, 20, "alg2", "core.p_parts_alg2"),
+        (400, 3, "closed", "core.p_parts_closed"),
+    ],
+)
+def test_p_parts_calls_its_route(calls, n, m, method, route):
+    cache = series.PartitionSeries()
+    assert core.p_parts(n, m, cache, method=method) == _alg1(n, m)
+    routes = {k: v for k, v in calls.items() if k.startswith("core.")}
+    assert routes == {route: 1}
+    # alg2 extends the series it reads; alg1 and the closed forms need none
+    assert calls["PartitionSeries.ensure"] == (route == "core.p_parts_alg2")
+
+
+def test_fast_path_reads_the_series(calls):
+    cache = series.PartitionSeries()
+    assert core.p_parts(400, 250, cache) == _alg1(400, 250)
+    assert calls == Counter({"PartitionSeries.ensure": 1})
+
+
+def test_q_parts_dispatches_through_p_parts(calls):
+    assert core.q_parts(400, 20) == _alg1(400 - 190, 20)
+    assert calls == Counter({"core.p_parts_alg1": 1})
+
+
+def test_p_row_convolves(calls):
+    row = lists.p_row(200, series.PartitionSeries())
+    assert row[49] == _alg1(200, 50)
+    assert calls["lists.causal_convolution"] > 0
+    assert calls["PartitionSeries.ensure"] >= 1
+
+
+def test_conv_column_convolves_and_direct_calls_nothing(calls):
+    conv = lists.p_column(300, 120, series.PartitionSeries(), strategy="conv")
+    assert calls["lists.causal_convolution"] > 0
+    assert calls["PartitionSeries.ensure"] == 1
+    calls.clear()
+    assert lists.p_column(300, 120, strategy="direct") == conv
+    assert calls == Counter()
+
+
+def test_distinct_series_ensure_is_seen(calls):
+    q = series.DistinctSeries(algorithm="ewell")
+    q.ensure(40)
+    assert calls == Counter({"DistinctSeries.ensure": 1, "PartitionSeries.ensure": 1})
+    assert q.values[40] == 1113

@@ -2,6 +2,7 @@
 growth, and the cache file format with its failure modes."""
 
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -186,11 +187,29 @@ def test_empty_cache_loads_and_seeds(tmp_path):
     assert loaded.values == [1, 1, 2, 3, 5]
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 @pytest.mark.parametrize(
     "payload,line",
     [
         (b"", 1),
         (b"\xffPCACHE v1 0\n", 1),
+        (b"PCACHE v1 3\n1\n1\n2\xe9\n", 4),
+        (b"PCACHE v1 2\n1\xff\n1\n", 2),
+        (b"PCACHE v1 2\r\n1\r\n\x80\r\n", 3),
+        pytest.param(
+            b"PCACHE v1 3\n1\n1\n" + b"1" * (DIGIT_LIMIT + 1) + b"\n",
+            4,
+            marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit"),
+            id="over-digit-limit",
+        ),
+        pytest.param(
+            b"PCACHE v1 " + b"1" * (DIGIT_LIMIT + 1) + b"\n1\n",
+            2,
+            marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit"),
+            id="header-over-digit-limit",
+        ),
         (b"JUNK\n1\n", 1),
         (b"PCACHE v2 1\n1\n", 1),
         (b"PCACHE v1 01\n1\n", 1),
