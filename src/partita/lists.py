@@ -11,14 +11,14 @@ instead of dispatching scalar calls:
 * Q rows and columns reduce to the P builders through the staircase
   shift Q(n, m) = P(n - m*(m - 1)/2, m).
 
-Convolution is plain schoolbook over exact integers (see
-``causal_convolution``).  A full row runs about sqrt(2n/3)
-convolutions of lengths up to n, about 0.14 * n^2.5 exact
-multiplications in all (4.28e6 at n = 1000, 1.49e8 at n = 4000).
+Each convolution is one packed big-integer product (Kronecker
+substitution, see ``causal_convolution``).  A full row takes one such
+product per expansion order, about sqrt(2n/3) of them (24 at n = 1000,
+50 at n = 4000), of lengths up to n.
 """
 
 from math import isqrt
-from operator import add, mul, sub
+from operator import add, sub
 
 from .core import _recurrence_array, _stage_update, _staircase, expansion_depth
 from .series import PartitionSeries, _check_index, shared_p_series
@@ -35,9 +35,11 @@ __all__ = [
 
 # Column strategy threshold: m < COLUMN_SCALE * n**COLUMN_POWER picks the
 # direct recurrence array, larger m the convolution route.  Purely a
-# performance knob; both strategies return identical values.
-COLUMN_SCALE = 0.21
-COLUMN_POWER = 0.78
+# performance knob; both strategies return identical values.  Fitted to
+# the measured crossover of the two routes, m = 0.12-0.13 n for n from
+# 500 to 10^4 (m = 0.15 n at n = 200, where both take under a millisecond).
+COLUMN_SCALE = 0.125
+COLUMN_POWER = 1.0
 
 _STRATEGIES = ("auto", "direct", "conv")
 
@@ -52,11 +54,51 @@ def causal_convolution(a, b):
 
     Both inputs must have equal length; the output has the same length
     (the upper half of the full convolution is never needed here).
-    Schoolbook evaluation, O(L^2) exact integer multiplications.
+    Evaluated by Kronecker substitution: both inputs are packed into one
+    big integer each, at a field width that holds every output
+    coefficient, multiplied once and unpacked.  Inputs with negative
+    entries are split into their positive and negative parts, one product
+    per pair of nonzero parts; nonnegative inputs cost one product.
     """
     if len(a) != len(b):
         raise ValueError("causal_convolution requires equal-length inputs")
-    return [sum(map(mul, a, b[t::-1])) for t in range(len(b))]
+    out = [0] * len(a)
+    for sign_a, part_a in _sign_parts(a):
+        for sign_b, part_b in _sign_parts(b):
+            op = add if sign_a == sign_b else sub
+            out = list(map(op, out, _packed_convolution(part_a, part_b)))
+    return out
+
+
+def _sign_parts(values):
+    # [(sign, magnitudes)] summing to values: nonnegative values whole,
+    # otherwise the nonzero ones of their positive and negative parts
+    if min(values, default=0) >= 0:
+        return [(1, values)]
+    parts = (
+        (1, [x if x > 0 else 0 for x in values]),
+        (-1, [-x if x < 0 else 0 for x in values]),
+    )
+    return [(sign, part) for sign, part in parts if any(part)]
+
+
+def _packed_convolution(a, b):
+    # causal convolution of equal-length nonnegative lists by one product;
+    # no full-convolution coefficient exceeds len * max(a) * max(b), so
+    # fields of nb bytes never carry into each other
+    size = len(a)
+    if not size:
+        return []
+    bits = max(a).bit_length() + max(b).bit_length() + size.bit_length()
+    nb = (bits + 7) // 8
+    product = _pack(a, nb) * _pack(b, nb)
+    data = product.to_bytes(2 * size * nb, "little")
+    return [int.from_bytes(data[i : i + nb], "little") for i in range(0, size * nb, nb)]
+
+
+def _pack(values, nb):
+    # sum values[i] * 256**(nb*i)
+    return int.from_bytes(b"".join([x.to_bytes(nb, "little") for x in values]), "little")
 
 
 def _row_split(n):
@@ -77,9 +119,9 @@ def p_row(n: int, cache: PartitionSeries | None = None) -> list:
     P(n - m) and receive alternating corrections: for each order i, one
     convolution of the array prefix (holding the distinct-part counts
     Q(., i)) with the cached series is computed in full and then sampled
-    at stride i + 1, hitting every m at once.  The convolutions cost
-    about 0.14 * n^2.5 exact multiplications.  Requires n >= 1; extends
-    the cache as needed.
+    at stride i + 1, hitting every m at once: one packed product per
+    order, about sqrt(2n/3) in all.  Requires n >= 1; extends the cache
+    as needed.
     """
     _check_index(n, "n")
     if n < 1:
@@ -143,7 +185,8 @@ def p_column(
     small m); "conv" builds the same values by convolution against the
     cached series, here sampled densely since consecutive entries sit
     one slot apart (good for large m).  "auto" picks direct exactly when
-    m < COLUMN_SCALE * n**COLUMN_POWER.  Requires 0 <= m <= n.
+    m < COLUMN_SCALE * n**COLUMN_POWER, that is m < n/8.  Requires
+    0 <= m <= n.
     """
     _check_index(n, "n")
     _check_index(m, "m")

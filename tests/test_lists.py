@@ -1,6 +1,7 @@
 """Row and column builders: equality with scalar calls, both column
 strategies, convolution contracts, and edge shapes."""
 
+import random
 from math import isqrt
 from operator import mul
 
@@ -152,6 +153,63 @@ def test_convolution_definition(a, data):
     assert got == [
         sum(a[j] * b[t - j] for j in range(t + 1)) for t in range(len(a))
     ]
+
+
+def schoolbook_convolution(a, b):
+    """Reference: the O(L^2) definition, one exact product per term."""
+    return [sum(map(mul, a, b[t::-1])) for t in range(len(b))]
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 700, 2000])
+def test_packed_convolution_matches_schoolbook_on_series(
+    length, p_series_long, q_series_long
+):
+    p = p_series_long.values[:length]
+    q = q_series_long.values[:length]
+    assert causal_convolution(q, p) == schoolbook_convolution(q, p)
+    assert causal_convolution(p, p) == schoolbook_convolution(p, p)
+
+
+def test_packed_convolution_all_zero_operands():
+    zeros = [0] * 6
+    for other in (zeros, [1, 2, 3, 4, 5, 6], [-7, 0, 10**30, -1, 0, 2]):
+        assert causal_convolution(zeros, other) == zeros
+        assert causal_convolution(other, zeros) == zeros
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+@pytest.mark.parametrize("length", [1, 2, 3, 255, 256])
+def test_packed_convolution_at_byte_edges(k, length):
+    # inputs of 8k one-bits: at length 255 the coefficient bound fills
+    # its bytes exactly, at 256 it spills one bit into the next byte
+    top = 2 ** (8 * k) - 1
+    a = [top] * length
+    b = [top - (i % 2) for i in range(length)]
+    assert causal_convolution(a, b) == schoolbook_convolution(a, b)
+    assert causal_convolution(a, a)[-1] == length * top * top
+
+
+def test_packed_convolution_mixed_signs_huge_values():
+    rng = random.Random(20220510)
+    big = 10**120
+    for length in (1, 2, 17, 60):
+        a = [rng.randint(-big, big) for _ in range(length)]
+        b = [rng.randint(-big, big) for _ in range(length)]
+        negative = [-abs(x) - 10**101 for x in b]
+        assert causal_convolution(a, b) == schoolbook_convolution(a, b)
+        assert causal_convolution(negative, a) == schoolbook_convolution(negative, a)
+        assert causal_convolution(negative, negative) == schoolbook_convolution(
+            negative, negative
+        )
+
+
+def test_packed_convolution_past_int_string_digit_limit():
+    a = [10**2200 + 1, -(7**2600), 3, 0]
+    b = [5**3200, 2, -(10**2250), 1]
+    got = causal_convolution(a, b)
+    assert got == schoolbook_convolution(a, b)
+    # the interpreter refuses str() of ints over 4300 digits by default
+    assert max(abs(x) for x in got) > 10**4300
 
 
 def test_convolution_identity_element():

@@ -86,6 +86,15 @@ def test_conv_column_convolves_and_direct_calls_nothing(calls):
     assert calls == Counter()
 
 
+@pytest.mark.parametrize("m,convolves", [(200, False), (320, True)])
+def test_auto_column_takes_the_threshold_route(calls, m, convolves):
+    # COLUMN_SCALE * n**COLUMN_POWER sits between these m at n = 2000
+    n = 2000
+    col = lists.p_column(n, m, series.PartitionSeries())
+    assert (calls["lists.causal_convolution"] > 0) == convolves
+    assert col[-1] == _alg1(n, m)
+
+
 def test_distinct_series_ensure_is_seen(calls):
     q = series.DistinctSeries(algorithm="ewell")
     q.ensure(40)
