@@ -7,9 +7,11 @@ provided together with an automatic dispatcher:
 * ``p_parts_alg1`` runs an in-place recurrence table and costs about
   m * (n - m) slot updates, so it wins for small m.
 * ``p_parts_alg2`` expands P(n, m) against the cached list of P(0..n-m)
-  as an alternating sum of convolution-like terms, one per possible
-  count of distinct parts; the number of such terms shrinks as m grows,
-  so it wins for large m.
+  as an alternating sum of correction terms, one per possible count i
+  of distinct parts.  Term i is read off the series prefix after the
+  same recurrence stages 1..i that algorithm 1 runs (``_expansion``), so
+  the expansion takes additions only; the number of terms shrinks as m
+  grows, so it wins for large m.
 
 The dispatcher ``p_parts`` adds closed forms for m <= 6 and the shortcut
 P(n, m) = P(n - m) for m >= ceil(n / 2), and switches between the two
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
-from operator import add, mul
+from operator import add
 
 from .series import INDEX_CEILING, PartitionSeries, _check_index, shared_p_series
 
@@ -146,6 +148,29 @@ def expansion_depth(n: int, m: int) -> int:
     return depth if depth > 0 else 0
 
 
+def _expansion(pv, n, m):
+    """Algorithm 2's expansion of P(n, m) over the series values pv,
+    which must hold P(0..n - 2m - 1).
+
+    Q(k, i) counts the partitions of k - i*(i + 1)/2 into parts <= i, so
+    order i's correction sequence is [x^j] P(x) / prod_{j' <= i}(1 - x^j'),
+    and dividing by (1 - x^j') is recurrence stage j'.  Runs the stages
+    i = 1..expansion_depth(n, m) over one copy of the series prefix and
+    yields (i, width, a) after each, with width = n - m*(i + 1) - kmin + 1
+    and kmin = i*(i + 1)/2: then
+
+        a[j] = sum_k Q(k, i) * P(j + kmin - k)   for j < width,
+
+    and a[width - 1] is order i's correction to P(n, m).  Widths shrink
+    with i, so each stage touches only the prefix later orders read.
+    """
+    a = pv[: max(n - 2 * m, 0)]
+    for i in range(1, expansion_depth(n, m) + 1):
+        width = n - m * (i + 1) - i * (i + 1) // 2 + 1
+        _stage_update(a, i, width - 1)
+        yield i, width, a
+
+
 def p_parts_alg2(n: int, m: int, cache: PartitionSeries | None = None) -> int:
     """P(n, m) by expansion against the cached series (algorithm 2).
 
@@ -154,29 +179,18 @@ def p_parts_alg2(n: int, m: int, cache: PartitionSeries | None = None) -> int:
 
         P(n, m) = P(n - m) + sum_i (-1)^i sum_k Q(k, i) * P(kmax - k)
 
-    with k running from i*(i + 1)/2 to kmax = n - m*(i + 1).  The i = 1
-    term is a bare prefix sum of the series (Q(k, 1) = 1) and is handled
-    directly; for i >= 2 the same recurrence array as algorithm 1 serves
-    every term, advanced one stage per i over a shrinking prefix so that
-    a[k - kmin] = Q(k, i).  Extends the cache to n - m on demand.
-    Requires 1 <= m <= n.
+    with k running from i*(i + 1)/2 to kmax = n - m*(i + 1).  Each
+    correction is one slot of the series prefix after recurrence stages
+    1..i (see ``_expansion``), so nothing is multiplied: about
+    expansion_depth(n, m) stages of at most n - 2m additions.  Extends
+    the cache to n - m on demand.  Requires 1 <= m <= n.
     """
     _check_span(n, m, "p_parts_alg2")
     cache = shared_p_series() if cache is None else cache
-    size = n - m
-    cache.ensure(size)
-    pv = cache.values
-    x = pv[size]
-    t = n - 2 * m
-    if t > 0:
-        x -= sum(pv[:t])
-    a = [1] * (size + 1)
-    for i in range(2, expansion_depth(n, m) + 1):
-        kmin = i * (i + 1) // 2
-        width = n - m * (i + 1) - kmin  # last valid offset k - kmin
-        _stage_update(a, i, width)
-        s = sum(map(mul, a, pv[width::-1]))
-        x += s if i % 2 == 0 else -s
+    cache.ensure(n - m)
+    x = cache.values[n - m]
+    for i, width, a in _expansion(cache.values, n, m):
+        x += a[width - 1] if i % 2 == 0 else -a[width - 1]
     return x
 
 

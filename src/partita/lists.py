@@ -3,24 +3,26 @@
 The builders here share work across all entries of a row or column
 instead of dispatching scalar calls:
 
-* a row P(n, 1..n) reuses one recurrence array for every small-m entry
-  and turns the correction sums of the large-m entries into one
-  convolution per expansion order, sampled at stride i + 1;
+* a row P(n, 1..n) starts every entry from P(n - m) and adds algorithm
+  2's alternating corrections: order i's corrections for every m sit in
+  one series prefix after recurrence stages 1..i (``core._expansion``),
+  read at stride i + 1;
 * a column P(m..n, m) is either the recurrence array itself (small m)
-  or the same convolution scheme sampled densely (large m);
+  or the same series prefixes read densely (large m);
 * Q rows and columns reduce to the P builders through the staircase
   shift Q(n, m) = P(n - m*(m - 1)/2, m).
 
-Each convolution is one packed big-integer product (Kronecker
-substitution, see ``causal_convolution``).  A full row takes one such
-product per expansion order, about sqrt(2n/3) of them (24 at n = 1000,
-50 at n = 4000), of lengths up to n.
+No route multiplies: every correction is a stage of additions over the
+series.  A full row takes about sqrt(2n) stages of at most n additions
+of O(sqrt(n))-bit integers, the paper's O(n^2) bit cost (0.003 s at
+n = 1000, 0.02 s at n = 4000; it was 0.08 s and 3.8 s with one packed
+product per order).  ``causal_convolution`` stays as a public utility.
 """
 
 from math import isqrt
 from operator import add, sub
 
-from .core import _recurrence_array, _stage_update, _staircase, expansion_depth
+from .core import _expansion, _recurrence_array, _stage_update, _staircase
 from .series import PartitionSeries, _check_index, shared_p_series
 
 __all__ = [
@@ -34,12 +36,12 @@ __all__ = [
 ]
 
 # Column strategy threshold: m < COLUMN_SCALE * n**COLUMN_POWER picks the
-# direct recurrence array, larger m the convolution route.  Purely a
+# direct recurrence array, larger m the series route.  Purely a
 # performance knob; both strategies return identical values.  Fitted to
-# the measured crossover of the two routes, m = 0.12-0.13 n for n from
-# 500 to 10^4 (m = 0.15 n at n = 200, where both take under a millisecond).
-COLUMN_SCALE = 0.125
-COLUMN_POWER = 1.0
+# the measured crossover of the two routes, m = 0.9-1.1 sqrt(n) for n
+# from 200 to 2*10^4.
+COLUMN_SCALE = 1.0
+COLUMN_POWER = 0.5
 
 _STRATEGIES = ("auto", "direct", "conv")
 
@@ -53,12 +55,15 @@ def causal_convolution(a, b):
     """c[t] = sum_{j=0..t} a[j] * b[t - j] for t = 0..len(a)-1.
 
     Both inputs must have equal length; the output has the same length
-    (the upper half of the full convolution is never needed here).
+    (the upper half of the full convolution is dropped).
     Evaluated by Kronecker substitution: both inputs are packed into one
     big integer each, at a field width that holds every output
     coefficient, multiplied once and unpacked.  Inputs with negative
     entries are split into their positive and negative parts, one product
     per pair of nonzero parts; nonnegative inputs cost one product.
+
+    A public utility: no row, column or scalar route calls it, since
+    their correction sums are recurrence stages over the series.
     """
     if len(a) != len(b):
         raise ValueError("causal_convolution requires equal-length inputs")
@@ -101,75 +106,41 @@ def _pack(values, nb):
     return int.from_bytes(b"".join([x.to_bytes(nb, "little") for x in values]), "little")
 
 
-def _row_split(n):
-    # ceil((sqrt(24n + 9) - 3) / 6) + 1: first row index served from the
-    # cached series rather than the recurrence array
-    x = 24 * n + 9
-    r = isqrt(x)
-    if r * r == x:
-        return (r + 2) // 6 + 1
-    return (r - 3) // 6 + 2
-
-
 def p_row(n: int, cache: PartitionSeries | None = None) -> list:
     """[P(n, 1), P(n, 2), ..., P(n, n)].
 
-    Entries below the split point come from one shared recurrence array,
-    reading P(n, i) after stage i.  Entries at or above it start from
-    P(n - m) and receive alternating corrections: for each order i, one
-    convolution of the array prefix (holding the distinct-part counts
-    Q(., i)) with the cached series is computed in full and then sampled
-    at stride i + 1, hitting every m at once: one packed product per
-    order, about sqrt(2n/3) in all.  Requires n >= 1; extends the cache
-    as needed.
+    Every entry starts from P(n - m) and receives algorithm 2's
+    alternating corrections.  Order i's corrections for all m sit in one
+    series prefix after recurrence stages 1..i (``core._expansion`` at
+    m = 1), consecutive m sitting i + 1 slots apart, so one strided
+    slice serves the whole row: about sqrt(2n) stages of at most n additions each, the
+    O(n^2) bit cost of the paper, and no multiplication.  Requires
+    n >= 1; extends the cache as needed.
     """
     _check_index(n, "n")
     if n < 1:
         raise ValueError("p_row requires n >= 1")
     cache = shared_p_series() if cache is None else cache
-    split = _row_split(n)
-    out = [0] * (n + 1)  # slot m holds P(n, m); slot 0 unused
-    if split <= n:
-        cache.ensure(n - split)
-        out[split:] = cache.values[n - split :: -1]
+    cache.ensure(n - 1)
     pv = cache.values
-    a = [1] * (n + 1)
-    kmin = 1
-    for i in range(1, min(split, n + 1)):
-        if i > 1:
-            _stage_update(a, i, n)
-        out[i] = a[n - i]
-        width = n - split * (i + 1) - kmin + 1
-        if width >= 1:
-            conv = causal_convolution(a[:width], pv[:width])
-            # slot m samples conv at n - m*(i+1) - kmin; step down i+1 per m
-            taps = conv[width - 1 :: -(i + 1)]
-            op = add if i % 2 == 0 else sub
-            stop = split + len(taps)
-            out[split:stop] = map(op, out[split:stop], taps)
-        kmin += i + 1
-    return out[1:]
+    out = pv[n - 1 :: -1]  # entry m - 1 holds P(n - m), then P(n, m)
+    for i, width, a in _expansion(pv, n, 1):
+        # entry m - 1 reads a[width - 1 - (m - 1)*(i + 1)]
+        taps = a[width - 1 :: -(i + 1)]
+        op = add if i % 2 == 0 else sub
+        out[: len(taps)] = map(op, out, taps)
+    return out
 
 
-def _column_conv(n, m, cache):
+def _column_series(n, m, cache):
     size = n - m
     cache.ensure(size)
     pv = cache.values
     out = pv[: size + 1]  # slot j starts at P(j), j = entry index - m
-    a = [1] * (size + 1)
-    kmin = 1
-    for i in range(1, expansion_depth(n, m) + 1):
-        width = n - m * (i + 1) - kmin + 1
-        if width < 1:
-            break
-        if i > 1:
-            _stage_update(a, i, width - 1)
-        conv = causal_convolution(a[:width], pv[:width])
-        # entries n' = kmin + m*(i+1) .. n receive conv[0..width-1] in order
-        base = kmin + m * i  # == (kmin + m*(i+1)) - m, the first out slot
+    for i, width, a in _expansion(pv, n, m):
+        # the last width entries, up to P(n, m), receive a[0..width-1]
         op = add if i % 2 == 0 else sub
-        out[base : base + width] = map(op, out[base : base + width], conv)
-        kmin += i + 1
+        out[-width:] = map(op, out[-width:], a)
     return out
 
 
@@ -182,11 +153,12 @@ def p_column(
     """[P(m, m), P(m + 1, m), ..., P(n, m)]; for m = 0 it is [1, 0, ..., 0].
 
     strategy "direct" records the recurrence array at stage m (good for
-    small m); "conv" builds the same values by convolution against the
-    cached series, here sampled densely since consecutive entries sit
-    one slot apart (good for large m).  "auto" picks direct exactly when
-    m < COLUMN_SCALE * n**COLUMN_POWER, that is m < n/8.  Requires
-    0 <= m <= n.
+    small m); "conv" builds the same values from the cached series by
+    algorithm 2's corrections, each order's recurrence-stage prefix
+    added densely since consecutive entries sit one slot apart (good for
+    large m; the name is historical, nothing is multiplied).  "auto"
+    picks direct exactly when m < COLUMN_SCALE * n**COLUMN_POWER, that
+    is m < sqrt(n).  Requires 0 <= m <= n.
     """
     _check_index(n, "n")
     _check_index(m, "m")
@@ -200,7 +172,7 @@ def p_column(
     if strategy == "direct":
         return _recurrence_array(n, m)
     cache = shared_p_series() if cache is None else cache
-    return _column_conv(n, m, cache)
+    return _column_series(n, m, cache)
 
 
 def q_row(n: int) -> list:

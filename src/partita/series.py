@@ -16,14 +16,17 @@ Extension always restarts at the first missing index, so a cache only
 ever grows and existing entries are never rewritten.  All values are
 exact Python integers.
 
-Thread contract: concurrent readers of the already materialized prefix
-are safe; any call that may extend a cache (``ensure``, or indexing past
-the end) requires exclusive access.  No locking is done here; callers
-that share a cache across threads must serialize writes themselves.
+Thread contract: a cache may be shared across threads.  Reading the
+materialized prefix takes no lock, and an ``ensure`` that finds its
+index present returns without one; extension runs under a per-cache
+lock and appends only, so concurrent callers never see an entry
+rewritten, and a prefix that another thread has already extended is
+never extended twice.
 """
 
 import hashlib
 import re
+import threading
 from math import isqrt
 from pathlib import Path
 
@@ -153,7 +156,7 @@ class _Series:
     cache header in ``KIND``, and supply the sweep as ``_extend``.
     """
 
-    __slots__ = ("values", "algorithm")
+    __slots__ = ("values", "algorithm", "_lock")
 
     def __init__(self, algorithm=None, values=None):
         if algorithm is None:
@@ -162,6 +165,7 @@ class _Series:
             raise ValueError(f"unknown {self.KIND[0]}-series algorithm {algorithm!r}")
         self.algorithm = algorithm
         self.values = [1] if values is None else values
+        self._lock = threading.Lock()
 
     def __len__(self):
         return len(self.values)
@@ -178,9 +182,13 @@ class _Series:
         _check_index(n)
         if n < len(self.values):
             return
-        if not self.values:
-            self.values.append(1)
-        self._extend(n)
+        with self._lock:
+            # another thread may have extended it while this one waited
+            if n < len(self.values):
+                return
+            if not self.values:
+                self.values.append(1)
+            self._extend(n)
 
 
 class PartitionSeries(_Series):
@@ -302,21 +310,15 @@ def series_checksum(series) -> str:
     return hashlib.sha256(serialize_series(series)).hexdigest()
 
 
-_shared_p = None
-_shared_q = None
+_shared_p = PartitionSeries()
+_shared_q = DistinctSeries()
 
 
 def shared_p_series() -> PartitionSeries:
-    """Process-wide default P series (single-threaded convenience)."""
-    global _shared_p
-    if _shared_p is None:
-        _shared_p = PartitionSeries()
+    """Process-wide default P series, safe to share across threads."""
     return _shared_p
 
 
 def shared_q_series() -> DistinctSeries:
-    """Process-wide default Q series (single-threaded convenience)."""
-    global _shared_q
-    if _shared_q is None:
-        _shared_q = DistinctSeries()
+    """Process-wide default Q series, safe to share across threads."""
     return _shared_q

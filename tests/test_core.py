@@ -20,6 +20,7 @@ from partita import (
     core,
     dispatch_plan,
     expansion_depth,
+    oracle,
     p_column,
     p_parts,
     p_parts_alg1,
@@ -362,3 +363,26 @@ def test_bad_options_rejected_before_trivial_cases(fn, args, options):
     # the same values raise on non-trivial inputs, so they must here too
     with pytest.raises(ValueError):
         fn(*args, **options)
+
+
+def test_expansion_matches_its_definition(p_series_long):
+    # order i's prefix a[:width] is the convolution of Q(., i), which
+    # starts at kmin = i*(i + 1)/2, with the series
+    pv = p_series_long.values
+    q = {}
+    for n in range(1, 61):
+        for m in range(1, n + 1):
+            orders = []
+            for i, width, a in core._expansion(pv, n, m):
+                orders.append(i)
+                kmin = i * (i + 1) // 2
+                assert width == n - m * (i + 1) - kmin + 1
+                for k in range(kmin, kmin + width):
+                    if (k, i) not in q:
+                        q[k, i] = oracle.count_partitions(k, i, distinct=True)
+                want = [
+                    sum(q[k, i] * pv[j + kmin - k] for k in range(kmin, j + kmin + 1))
+                    for j in range(width)
+                ]
+                assert a[:width] == want
+            assert orders == list(range(1, expansion_depth(n, m) + 1))

@@ -70,29 +70,48 @@ def test_q_parts_dispatches_through_p_parts(calls):
     assert calls == Counter({"core.p_parts_alg1": 1})
 
 
-def test_p_row_convolves(calls):
+def test_p_row_reads_the_series(calls):
     row = lists.p_row(200, series.PartitionSeries())
     assert row[49] == _alg1(200, 50)
-    assert calls["lists.causal_convolution"] > 0
-    assert calls["PartitionSeries.ensure"] >= 1
+    assert calls["lists.causal_convolution"] == 0
+    assert calls == Counter({"PartitionSeries.ensure": 1})
 
 
-def test_conv_column_convolves_and_direct_calls_nothing(calls):
+def test_series_column_reads_the_series_and_direct_calls_nothing(calls):
     conv = lists.p_column(300, 120, series.PartitionSeries(), strategy="conv")
-    assert calls["lists.causal_convolution"] > 0
-    assert calls["PartitionSeries.ensure"] == 1
+    assert calls["lists.causal_convolution"] == 0
+    assert calls == Counter({"PartitionSeries.ensure": 1})
     calls.clear()
     assert lists.p_column(300, 120, strategy="direct") == conv
     assert calls == Counter()
 
 
-@pytest.mark.parametrize("m,convolves", [(200, False), (320, True)])
-def test_auto_column_takes_the_threshold_route(calls, m, convolves):
-    # COLUMN_SCALE * n**COLUMN_POWER sits between these m at n = 2000
+@pytest.mark.parametrize("m,series_route", [(30, False), (60, True)])
+def test_auto_column_takes_the_threshold_route(calls, m, series_route):
+    # COLUMN_SCALE * n**COLUMN_POWER, about 44.7 at n = 2000, sits
+    # between these m; only the series route reads the series
     n = 2000
     col = lists.p_column(n, m, series.PartitionSeries())
-    assert (calls["lists.causal_convolution"] > 0) == convolves
+    assert calls["PartitionSeries.ensure"] == series_route
+    assert calls["lists.causal_convolution"] == 0
     assert col[-1] == _alg1(n, m)
+
+
+def test_no_route_convolves(calls):
+    cache = series.PartitionSeries()
+    for method in ("auto", "alg1", "alg2", "closed"):
+        for m in (3, 6, 20, 100, 250):
+            if method == "closed" and m > 6:
+                continue
+            assert core.p_parts(400, m, cache, method=method) == _alg1(400, m)
+            core.q_parts(600, m, cache, method=method)
+    assert lists.p_row(300, cache)[99] == _alg1(300, 100)
+    for m in (10, 120):
+        for strategy in ("auto", "direct", "conv"):
+            lists.p_column(300, m, cache, strategy)
+            lists.q_column(900, m // 4, cache, strategy)
+    assert calls["core.p_parts_alg2"] > 0
+    assert calls["lists.causal_convolution"] == 0
 
 
 def test_distinct_series_ensure_is_seen(calls):

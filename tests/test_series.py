@@ -3,6 +3,7 @@ growth, and the cache file format with its failure modes."""
 
 import hashlib
 import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -127,6 +128,34 @@ def test_shared_series_are_singletons():
     assert shared_q_series() is shared_q_series()
     shared_p_series().ensure(64)
     assert shared_p_series().values[10] == 42
+
+
+@pytest.mark.parametrize("cls", [PartitionSeries, DistinctSeries])
+def test_concurrent_ensure_extends_once(cls):
+    # four threads, more than the cores, extend one fresh series at once;
+    # an unlocked extension appends the same tail more than once
+    n = 3000
+    expected = cls()
+    expected.ensure(n)
+    shared = cls()
+    start = threading.Barrier(4)
+
+    def grow():
+        start.wait(timeout=30)
+        shared.ensure(n)
+
+    threads = [threading.Thread(target=grow) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert shared.values == expected.values
 
 
 def test_generalized_pentagonal_predicate():
