@@ -13,8 +13,8 @@ Subcommands:
 Output formats: ``plain`` (human-oriented), ``csv``, ``json``.  Counts
 appear in JSON as decimal strings, since they outgrow the integers many
 JSON consumers can hold.  Exit codes: 0 success, 2 bad usage or bad
-values (including oracle limits and I/O failures), 3 malformed cache
-file.
+values (including oracle limits, I/O failures and running out of
+memory), 3 malformed cache file.
 """
 
 import argparse
@@ -83,9 +83,9 @@ def _load_p_cache(path):
 
 def _plan_for(kind, n, m, constant):
     if kind == "q":
-        n = core._staircase(n, m)
-        if n is None:
-            return core.StepEstimate(0, 0, core.FAST_PATH)
+        # as q_parts: below the staircase Q(n, m) = 0 = P(0, m)
+        shifted = core._staircase(n, m)
+        n = 0 if shifted is None else shifted
     return core.dispatch_plan(n, m, constant)
 
 
@@ -445,6 +445,9 @@ def main(argv=None):
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory for this request", file=sys.stderr)
         return 2
     return 0
 

@@ -24,7 +24,7 @@ rounding, never floating point.  Indices are bounded by INDEX_CEILING.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from math import isqrt
 from operator import add
 
@@ -149,24 +149,27 @@ def expansion_depth(n: int, m: int) -> int:
 
 
 def _expansion(pv, n, m):
-    """Algorithm 2's expansion of P(n, m) over the series values pv,
-    which must hold P(0..n - 2m - 1).
+    """Algorithm 2's expansion over the first n - 2m values of pv.
 
     Q(k, i) counts the partitions of k - i*(i + 1)/2 into parts <= i, so
     order i's correction sequence is [x^j] P(x) / prod_{j' <= i}(1 - x^j'),
     and dividing by (1 - x^j') is recurrence stage j'.  Runs the stages
-    i = 1..expansion_depth(n, m) over one copy of the series prefix and
-    yields (i, width, a) after each, with width = n - m*(i + 1) - kmin + 1
-    and kmin = i*(i + 1)/2: then
+    i = 1, 2, ... over one copy of that prefix and yields (i, width, a)
+    after each, for as long as width = n - m*(i + 1) - kmin + 1 >= 1 with
+    kmin = i*(i + 1)/2 (for m >= 1, up to expansion_depth(n, m)): then
 
-        a[j] = sum_k Q(k, i) * P(j + kmin - k)   for j < width,
+        a[j] = sum_k Q(k, i) * pv[j + kmin - k]   for j < width.
 
-    and a[width - 1] is order i's correction to P(n, m).  Widths shrink
-    with i, so each stage touches only the prefix later orders read.
+    With pv the P series, a[width - 1] is order i's correction to
+    P(n, m).  With pv the unit impulse [1, 0, ..., 0] and m = 0,
+    a[width - 1] = Q(n, i).  Widths shrink with i, so each stage touches
+    only the prefix later orders read.
     """
     a = pv[: max(n - 2 * m, 0)]
-    for i in range(1, expansion_depth(n, m) + 1):
+    for i in count(1):
         width = n - m * (i + 1) - i * (i + 1) // 2 + 1
+        if width < 1:
+            return
         _stage_update(a, i, width - 1)
         yield i, width, a
 

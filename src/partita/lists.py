@@ -15,14 +15,13 @@ instead of dispatching scalar calls:
 No route multiplies: every correction is a stage of additions over the
 series.  A full row takes about sqrt(2n) stages of at most n additions
 of O(sqrt(n))-bit integers, the paper's O(n^2) bit cost (0.003 s at
-n = 1000, 0.02 s at n = 4000; it was 0.08 s and 3.8 s with one packed
-product per order).  ``causal_convolution`` stays as a public utility.
+n = 1000, 0.02 s at n = 4000).  ``causal_convolution`` stays as a public
+utility.
 """
 
-from math import isqrt
 from operator import add, sub
 
-from .core import _expansion, _recurrence_array, _stage_update, _staircase
+from .core import _expansion, _recurrence_array, _staircase
 from .series import PartitionSeries, _check_index, shared_p_series
 
 __all__ = [
@@ -132,18 +131,6 @@ def p_row(n: int, cache: PartitionSeries | None = None) -> list:
     return out
 
 
-def _column_series(n, m, cache):
-    size = n - m
-    cache.ensure(size)
-    pv = cache.values
-    out = pv[: size + 1]  # slot j starts at P(j), j = entry index - m
-    for i, width, a in _expansion(pv, n, m):
-        # the last width entries, up to P(n, m), receive a[0..width-1]
-        op = add if i % 2 == 0 else sub
-        out[-width:] = map(op, out[-width:], a)
-    return out
-
-
 def p_column(
     n: int,
     m: int,
@@ -156,9 +143,9 @@ def p_column(
     small m); "conv" builds the same values from the cached series by
     algorithm 2's corrections, each order's recurrence-stage prefix
     added densely since consecutive entries sit one slot apart (good for
-    large m; the name is historical, nothing is multiplied).  "auto"
-    picks direct exactly when m < COLUMN_SCALE * n**COLUMN_POWER, that
-    is m < sqrt(n).  Requires 0 <= m <= n.
+    large m).  "auto" picks direct exactly when
+    m < COLUMN_SCALE * n**COLUMN_POWER, that is m < sqrt(n).  Requires
+    0 <= m <= n.
     """
     _check_index(n, "n")
     _check_index(m, "m")
@@ -172,30 +159,29 @@ def p_column(
     if strategy == "direct":
         return _recurrence_array(n, m)
     cache = shared_p_series() if cache is None else cache
-    return _column_series(n, m, cache)
+    cache.ensure(n - m)
+    pv = cache.values
+    out = pv[: n - m + 1]  # slot j starts at P(j), j = entry index - m
+    for i, width, a in _expansion(pv, n, m):
+        # the last width entries, up to P(n, m), receive a[0..width-1]
+        op = add if i % 2 == 0 else sub
+        out[-width:] = map(op, out[-width:], a)
+    return out
 
 
 def q_row(n: int) -> list:
     """[Q(n, 1), ..., Q(n, mmax)] with mmax = floor((sqrt(8n + 1) - 1)/2).
 
     mmax is the largest m whose minimal distinct sum m*(m + 1)/2 still
-    fits in n.  One recurrence array serves every entry: after stage i
-    over a prefix that shrinks by i per stage, slot n - i*(i + 1)/2
-    holds P(n - i*(i - 1)/2, i) = Q(n, i).  Requires n >= 1.
+    fits in n.  ``core._expansion`` at m = 0 over the unit impulse
+    [1, 0, ..., 0] runs recurrence stages 1..mmax, after which slot
+    n - i*(i + 1)/2 counts the partitions of n - i*(i + 1)/2 into parts
+    <= i, that is Q(n, i): one read per order.  Requires n >= 1.
     """
     _check_index(n, "n")
     if n < 1:
         raise ValueError("q_row requires n >= 1")
-    top = (isqrt(8 * n + 1) - 1) // 2
-    out = [0] * (top + 1)
-    out[1] = 1
-    a = [1] * n
-    last = n - 1
-    for i in range(2, top + 1):
-        last -= i
-        _stage_update(a, i, last)
-        out[i] = a[last]
-    return out[1:]
+    return [a[width - 1] for _, width, a in _expansion([1] + [0] * (n - 1), n, 0)]
 
 
 def q_column(

@@ -12,6 +12,12 @@ suite cross-validates against each other:
   (default) is self-contained, combining tripled square lags with an
   indicator of the generalized pentagonal numbers.
 
+Two kernels hold the lag sums: ``_pentagonal_sum`` (euler P at the
+lags k(3k - 1)/2 and k(3k + 1)/2, ewell Q at twice those) and
+``_square_sum`` (ewell P at 2k^2, merca Q at 3k^2).  Each cross-checked
+pair, euler against ewell for P and merca against ewell for Q, sets one
+kernel against the other.
+
 Extension always restarts at the first missing index, so a cache only
 ever grows and existing entries are never rewritten.  All values are
 exact Python integers.
@@ -64,22 +70,41 @@ _TRI_START_A = (0, 1, 3, 2)
 _TRI_START_B = (7, 6, 4, 5)
 
 
+def _alternating_sum(v, arg, step, grow):
+    # v[arg] - v[arg - step] + v[arg - 2*step - grow] - ...: a lag walk
+    # whose gaps grow by a constant, summed with alternating signs while
+    # the index stays nonnegative; odd and even terms go to separate sums
+    odd = even = 0
+    while arg >= 0:
+        odd += v[arg]
+        arg -= step
+        step += grow
+        if arg < 0:
+            break
+        even += v[arg]
+        arg -= step
+        step += grow
+    return odd - even
+
+
+def _pentagonal_sum(v, i, s):
+    # sum_{k>=1} (-1)^(k+1) [v[i - s*k(3k-1)/2] + v[i - s*k(3k+1)/2]];
+    # the lags k(3k-1)/2 = 1, 5, 12, ... grow by 3k + 1 and the lags
+    # k(3k+1)/2 = 2, 7, 15, ... by 3k + 2
+    return _alternating_sum(v, i - s, 4 * s, 3 * s) + _alternating_sum(
+        v, i - 2 * s, 5 * s, 3 * s
+    )
+
+
+def _square_sum(v, i, s):
+    # 2 sum_{k>=1} (-1)^(k+1) v[i - s*k^2]; the lags k^2 grow by 2k + 1
+    return 2 * _alternating_sum(v, i - s, 3 * s, 2 * s)
+
+
 def _extend_p_euler(values, n):
     # P(i) = sum_{k>=1} (-1)^(k+1) [P(i - k(3k-1)/2) + P(i - k(3k+1)/2)]
     for i in range(len(values), n + 1):
-        total = 0
-        k = 1
-        while True:
-            arg = i - k * (3 * k - 1) // 2
-            if arg < 0:
-                break
-            term = values[arg]
-            arg -= k  # second pentagonal lag k(3k+1)/2
-            if arg >= 0:
-                term += values[arg]
-            total += term if k & 1 else -term
-            k += 1
-        values.append(total)
+        values.append(_pentagonal_sum(values, i, 1))
 
 
 def _extend_p_ewell(values, n):
@@ -89,14 +114,7 @@ def _extend_p_ewell(values, n):
     # shifted index drops by 2k + 9 between consecutive hits, with k read
     # before the divide-by-four, so the decrement itself grows by 16.
     for i in range(len(values), n + 1):
-        total = 0
-        k = 1
-        while True:
-            arg = i - 2 * k * k
-            if arg < 0:
-                break
-            total += 2 * values[arg] if k & 1 else -2 * values[arg]
-            k += 1
+        total = _square_sum(values, i, 2)
         r = i & 3
         for start in (_TRI_START_A[r], _TRI_START_B[r]):
             arg = i - start * (start + 1) // 2
@@ -116,33 +134,13 @@ def _extend_q_ewell(values, p_series, n):
     p_series.ensure(n)
     pv = p_series.values
     for i in range(len(values), n + 1):
-        total = pv[i]
-        k = 1
-        while True:
-            arg = i - k * (3 * k - 1)
-            if arg < 0:
-                break
-            term = pv[arg]
-            arg -= 2 * k  # second lag k(3k+1)
-            if arg >= 0:
-                term += pv[arg]
-            total += -term if k & 1 else term
-            k += 1
-        values.append(total)
+        values.append(pv[i] - _pentagonal_sum(pv, i, 2))
 
 
 def _extend_q_merca(values, n):
     # Q(i) = s(i) - 2 sum_{k>=1} (-1)^k Q(i - 3k^2), s = pentagonal indicator
     for i in range(len(values), n + 1):
-        total = 1 if _is_gp(i) else 0
-        k = 1
-        while True:
-            arg = i - 3 * k * k
-            if arg < 0:
-                break
-            total += 2 * values[arg] if k & 1 else -2 * values[arg]
-            k += 1
-        values.append(total)
+        values.append((1 if _is_gp(i) else 0) + _square_sum(values, i, 3))
 
 
 class _Series:

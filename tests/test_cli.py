@@ -422,3 +422,25 @@ def test_console_entry_point_usage_error():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+def test_out_of_memory_exits_2():
+    # alg1's table for this request needs about 8 GB; under a 1 GiB
+    # address-space limit the allocation fails at once
+    proc = subprocess.run(
+        [sys.executable, "-m", "partita", "p", "1000000000", "1000"],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

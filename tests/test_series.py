@@ -82,6 +82,24 @@ def test_q_recurrences_agree():
     assert a.values == b.values
 
 
+def test_recurrences_match_rademacher_beyond_the_oracle():
+    # sympy evaluates P(n) by the Hardy-Ramanujan-Rademacher series, a
+    # route independent of every recurrence here
+    sympy = pytest.importorskip("sympy")
+    top = 20000
+    p_series = {name: PartitionSeries(algorithm=name) for name in ("ewell", "euler")}
+    for s in p_series.values():
+        s.ensure(top)
+    for n in (1000, 5000, top):
+        want = int(sympy.partition(n))
+        assert [s.values[n] for s in p_series.values()] == [want, want], n
+    merca = DistinctSeries(algorithm="merca")
+    ewell = DistinctSeries(algorithm="ewell", p_series=p_series["ewell"])
+    merca.ensure(top)
+    ewell.ensure(top)
+    assert merca.values == ewell.values
+
+
 def test_q_ewell_accepts_shared_p_series(p_series_long):
     s = DistinctSeries(algorithm="ewell", p_series=p_series_long)
     s.ensure(100)
