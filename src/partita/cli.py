@@ -4,7 +4,7 @@ Subcommands:
 
 * ``p N M`` / ``q N M``: one partition count, optionally forced onto a
   specific algorithm, recounted by the enumeration oracle, or explained
-  (dispatch choice plus step models).
+  (route taken plus step models).
 * ``list ...``: whole rows, columns and series prefixes.
 * ``bench N``: step models and optional wall-clock timings for both
   algorithms across a range of m, or a fitted crossover point.
@@ -81,12 +81,17 @@ def _load_p_cache(path):
     return loaded
 
 
-def _plan_for(kind, n, m, constant):
+def _plan_for(kind, n, m, constant, method):
     if kind == "q":
         # as q_parts: below the staircase Q(n, m) = 0 = P(0, m)
         shifted = core._staircase(n, m)
         n = 0 if shifted is None else shifted
-    return core.dispatch_plan(n, m, constant)
+    plan = core.dispatch_plan(n, m, constant)
+    if method == "auto" or m == 0 or n <= m:
+        # p_parts answers m = 0 and n <= m before any route runs
+        return plan
+    route = core._route(n, m, constant, method)
+    return core.StepEstimate(plan.alg1, plan.alg2, route)
 
 
 def _scalar_output(args, value, plan):
@@ -140,7 +145,9 @@ def _cmd_scalar(args):
         value = count(args.n, args.m, cache, args.crossover_constant, args.algorithm)
     plan = None
     if args.explain:
-        plan = _plan_for(args.kind, args.n, args.m, args.crossover_constant)
+        plan = _plan_for(
+            args.kind, args.n, args.m, args.crossover_constant, args.algorithm
+        )
     _emit(_scalar_output(args, value, plan), args.out)
 
 
@@ -341,7 +348,7 @@ def build_parser():
     )
     scalar.add_argument(
         "--explain", action="store_true",
-        help="also report the dispatch choice and both step models",
+        help="also report the route taken and both step models",
     )
     scalar.add_argument(
         "--oracle", action="store_true",

@@ -18,6 +18,12 @@ P(n, m) = P(n - m) for m >= ceil(n / 2), and switches between the two
 algorithms at m = c * sqrt(n) (c configurable, default 2.7).  With a
 warm series cache every dispatch path is O(n^(3/2)) or better.
 
+The default misroutes a band: measured with a warm series, algorithm 1
+is slower than algorithm 2 from about m = 0.6 * sqrt(n), and 17-33x
+slower at 2.7 * sqrt(n) (n = 400 to 4 * 10^4).  The constant is kept
+because the test suite pins it; pass c = 0.6 to route the band to
+algorithm 2.
+
 All counts are exact Python integers; closed forms use exact rational
 rounding, never floating point.  Indices are bounded by INDEX_CEILING.
 """

@@ -15,11 +15,12 @@ instead of dispatching scalar calls:
 No route multiplies: every correction is a stage of additions over the
 series.  A full row takes about sqrt(2n) stages of at most n additions
 of O(sqrt(n))-bit integers, the paper's O(n^2) bit cost (0.003 s at
-n = 1000, 0.02 s at n = 4000).  ``causal_convolution`` stays as a public
-utility.
+n = 1000, 0.02 s at n = 4000).  ``causal_convolution``, the truncated
+product of two sequences by its definition, is a public utility that no
+route calls.
 """
 
-from operator import add, sub
+from operator import add, mul, sub
 
 from .core import _expansion, _recurrence_array, _staircase
 from .series import PartitionSeries, _check_index, shared_p_series
@@ -54,55 +55,13 @@ def causal_convolution(a, b):
     """c[t] = sum_{j=0..t} a[j] * b[t - j] for t = 0..len(a)-1.
 
     Both inputs must have equal length; the output has the same length
-    (the upper half of the full convolution is dropped).
-    Evaluated by Kronecker substitution: both inputs are packed into one
-    big integer each, at a field width that holds every output
-    coefficient, multiplied once and unpacked.  Inputs with negative
-    entries are split into their positive and negative parts, one product
-    per pair of nonzero parts; nonnegative inputs cost one product.
-
-    A public utility: no row, column or scalar route calls it, since
-    their correction sums are recurrence stages over the series.
+    (the upper half of the full convolution is dropped).  Evaluated by
+    its definition, O(len(a)^2) exact products.  A public utility: no
+    row, column or scalar route calls it.
     """
     if len(a) != len(b):
         raise ValueError("causal_convolution requires equal-length inputs")
-    out = [0] * len(a)
-    for sign_a, part_a in _sign_parts(a):
-        for sign_b, part_b in _sign_parts(b):
-            op = add if sign_a == sign_b else sub
-            out = list(map(op, out, _packed_convolution(part_a, part_b)))
-    return out
-
-
-def _sign_parts(values):
-    # [(sign, magnitudes)] summing to values: nonnegative values whole,
-    # otherwise the nonzero ones of their positive and negative parts
-    if min(values, default=0) >= 0:
-        return [(1, values)]
-    parts = (
-        (1, [x if x > 0 else 0 for x in values]),
-        (-1, [-x if x < 0 else 0 for x in values]),
-    )
-    return [(sign, part) for sign, part in parts if any(part)]
-
-
-def _packed_convolution(a, b):
-    # causal convolution of equal-length nonnegative lists by one product;
-    # no full-convolution coefficient exceeds len * max(a) * max(b), so
-    # fields of nb bytes never carry into each other
-    size = len(a)
-    if not size:
-        return []
-    bits = max(a).bit_length() + max(b).bit_length() + size.bit_length()
-    nb = (bits + 7) // 8
-    product = _pack(a, nb) * _pack(b, nb)
-    data = product.to_bytes(2 * size * nb, "little")
-    return [int.from_bytes(data[i : i + nb], "little") for i in range(0, size * nb, nb)]
-
-
-def _pack(values, nb):
-    # sum values[i] * 256**(nb*i)
-    return int.from_bytes(b"".join([x.to_bytes(nb, "little") for x in values]), "little")
+    return [sum(map(mul, a, b[t::-1])) for t in range(len(a))]
 
 
 def p_row(n: int, cache: PartitionSeries | None = None) -> list:

@@ -78,6 +78,32 @@ def test_scalar_explain_q_uses_shifted_plan(capsys):
     assert payload["value"] == str(partita.q_parts(20, 4))
 
 
+@pytest.mark.parametrize(
+    "kind, n, m, method, label",
+    [
+        ("p", 10000, 100, "alg2", partita.ALG2),  # auto takes alg1
+        ("p", 400, 80, "alg1", partita.ALG1),  # auto takes alg2
+        ("p", 10, 5, "closed", partita.CLOSED_FORM),  # auto takes the fast path
+        ("q", 20, 4, "alg1", partita.ALG1),  # auto takes the closed form
+        ("q", 20, 4, "alg2", partita.ALG2),
+        ("q", 13, 4, "closed", partita.CLOSED_FORM),  # auto takes the fast path
+        ("p", 10, 10, "alg2", partita.FAST_PATH),  # answered before any route
+    ],
+)
+def test_scalar_explain_names_forced_route(capsys, kind, n, m, method, label):
+    count = partita.p_parts if kind == "p" else partita.q_parts
+    value = count(n, m)
+    args = (kind, str(n), str(m), "--algorithm", method, "--explain")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out.splitlines()[0] == str(value)
+    assert out.splitlines()[1].startswith(f"chosen={label} ")
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    params = json.loads(out)["params"]
+    assert (params["algorithm"], params["chosen"]) == (method, label)
+
+
 def test_algorithm_forcing_same_value(capsys):
     seen = set()
     for method in ("auto", "alg1", "alg2"):
