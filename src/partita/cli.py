@@ -81,57 +81,48 @@ def _load_p_cache(path):
     return loaded
 
 
-def _plan_for(kind, n, m, constant, method):
-    if kind == "q":
-        # as q_parts: below the staircase Q(n, m) = 0 = P(0, m)
-        shifted = core._staircase(n, m)
-        n = 0 if shifted is None else shifted
+def _json(payload):
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def _csv(rows):
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def _plan_for(args):
+    # the step models of the P(n, m) that q_parts reads, and the route
+    # that computed the value
+    n, m, constant = args.n, args.m, args.crossover_constant
+    if args.kind == "q":
+        n = core._staircase(n, m)
     plan = core.dispatch_plan(n, m, constant)
-    if method == "auto" or m == 0 or n <= m:
-        # p_parts answers m = 0 and n <= m before any route runs
-        return plan
-    route = core._route(n, m, constant, method)
+    route = "oracle" if args.oracle else core._route(n, m, constant, args.algorithm)
     return core.StepEstimate(plan.alg1, plan.alg2, route)
 
 
 def _scalar_output(args, value, plan):
+    explained = {} if plan is None else {
+        "chosen": plan.chosen, "steps_alg1": plan.alg1, "steps_alg2": plan.alg2
+    }
     if args.format == "json":
-        params = {
-            "n": args.n,
-            "m": args.m,
-            "algorithm": "oracle" if args.oracle else args.algorithm,
-        }
-        if plan is not None:
-            params["chosen"] = plan.chosen
-            params["steps_alg1"] = plan.alg1
-            params["steps_alg2"] = plan.alg2
-        payload = {"kind": args.kind, "params": params, "value": str(value)}
-        return json.dumps(payload, separators=(",", ":")) + "\n"
+        algorithm = "oracle" if args.oracle else args.algorithm
+        params = {"n": args.n, "m": args.m, "algorithm": algorithm, **explained}
+        return _json({"kind": args.kind, "params": params, "value": str(value)})
     if args.format == "csv":
-        if plan is not None:
-            return (
-                "n,m,value,chosen,steps_alg1,steps_alg2\n"
-                f"{args.n},{args.m},{value},{plan.chosen},{plan.alg1},{plan.alg2}\n"
-            )
-        return f"n,m,value\n{args.n},{args.m},{value}\n"
+        row = {"n": args.n, "m": args.m, "value": value, **explained}
+        return _csv([row.keys(), row.values()])
     text = f"{value}\n"
     if plan is not None:
-        text += f"chosen={plan.chosen} steps_alg1={plan.alg1} steps_alg2={plan.alg2}\n"
+        text += " ".join(f"{k}={v}" for k, v in explained.items()) + "\n"
     return text
 
 
 def _sequence_output(args, kind, params, start, values):
     if args.format == "json":
-        payload = {
-            "kind": kind,
-            "params": {**params, "start_index": start},
-            "values": [str(v) for v in values],
-        }
-        return json.dumps(payload, separators=(",", ":")) + "\n"
+        params = {**params, "start_index": start}
+        return _json({"kind": kind, "params": params, "values": list(map(str, values))})
     if args.format == "csv":
-        lines = ["index,value"]
-        lines.extend(f"{start + i},{v}" for i, v in enumerate(values))
-        return "\n".join(lines) + "\n"
+        return _csv([("index", "value"), *enumerate(values, start)])
     return ",".join(map(str, values)) + "\n"
 
 
@@ -143,11 +134,7 @@ def _cmd_scalar(args):
     else:
         count = core.q_parts if distinct else core.p_parts
         value = count(args.n, args.m, cache, args.crossover_constant, args.algorithm)
-    plan = None
-    if args.explain:
-        plan = _plan_for(
-            args.kind, args.n, args.m, args.crossover_constant, args.algorithm
-        )
+    plan = _plan_for(args) if args.explain else None
     _emit(_scalar_output(args, value, plan), args.out)
 
 
@@ -239,10 +226,10 @@ def _bench_table_output(args, rows):
             },
             "rows": rows,
         }
-        return json.dumps(payload, separators=(",", ":")) + "\n"
+        return _json(payload)
     cells = [fields] + [[str(row[f]) for f in fields] for row in rows]
     if args.format == "csv":
-        return "\n".join(",".join(row) for row in cells) + "\n"
+        return _csv(cells)
     widths = [max(len(row[i]) for row in cells) for i in range(len(fields))]
     lines = (
         "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
@@ -270,12 +257,11 @@ def _bench_fit_output(args, rows):
             "analytic": round(analytic, 2),
             "practical": practical,
         }
-        return json.dumps(payload, separators=(",", ":")) + "\n"
+        return _json(payload)
     if args.format == "csv":
-        head = "m,constant,analytic,practical\n"
-        if crossed is None:
-            return head + f",,{analytic:.2f},{practical}\n"
-        return head + f"{crossed},{constant:.4f},{analytic:.2f},{practical}\n"
+        fit = ("", "") if crossed is None else (crossed, f"{constant:.4f}")
+        head = ("m", "constant", "analytic", "practical")
+        return _csv([head, (*fit, f"{analytic:.2f}", practical)])
     if crossed is None:
         return f"no crossover in range; analytic={analytic:.2f} practical={practical}\n"
     return (
@@ -348,7 +334,8 @@ def build_parser():
     )
     scalar.add_argument(
         "--explain", action="store_true",
-        help="also report the route taken and both step models",
+        help="also report the route taken (oracle under --oracle) and both "
+        "step models",
     )
     scalar.add_argument(
         "--oracle", action="store_true",

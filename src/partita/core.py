@@ -324,13 +324,17 @@ _FORCED = {"alg1": ALG1, "alg2": ALG2, "closed": CLOSED_FORM}
 
 def _route(n, m, c, method="auto"):
     """Route label of P(n, m) under ``method``, c the crossover constant as
-    a Fraction: a forced method's own route, or auto's pick in the order
-    p_parts documents (m = 0 and n <= m count as fast path).  Pure."""
+    a Fraction: the one place a scalar route is decided.  Forced "closed"
+    with m > 6 raises; m = 0 and n <= m are the fast path under every
+    method; a forced method takes its own route; auto picks in the order
+    p_parts documents.  Pure."""
+    if method == "closed" and m > 6:
+        raise ValueError("closed form requires m <= 6")
+    if m == 0 or n <= m:
+        return FAST_PATH
     if method != "auto":
-        if method == "closed" and m > 6:
-            raise ValueError("closed form requires m <= 6")
         return _FORCED[method]
-    if m == 0 or m >= (n + 1) // 2:
+    if m >= (n + 1) // 2:
         return FAST_PATH
     if m <= 6:
         return CLOSED_FORM
@@ -378,13 +382,14 @@ def p_parts(
 ) -> int:
     """P(n, m): the number of partitions of n into exactly m parts.
 
-    Dispatch, in order: trivial cases (m = 0, n < m, n = m), then
-    P(n - m) from the series cache when m >= ceil(n / 2), closed forms
-    for m <= 6, algorithm 1 for m <= c * sqrt(n), algorithm 2 otherwise.
-    ``method`` may force "alg1", "alg2" or "closed" (m <= 6 only); a
-    forced method changes the route, never the value.  ``cache`` is a
-    PartitionSeries, extended on demand; the shared default is used when
-    omitted.
+    Dispatch, in order: trivial cases (m = 0, n < m, n = m), answered
+    first under every method, then P(n - m) from the series cache when
+    m >= ceil(n / 2), closed forms for m <= 6, algorithm 1 for
+    m <= c * sqrt(n), algorithm 2 otherwise.  ``method`` may force
+    "alg1", "alg2" or "closed"; a forced method changes the route, never
+    the value, and "closed" is refused for m > 6 whatever n is.
+    ``cache`` is a PartitionSeries, extended on demand; the shared
+    default is used when omitted.
     """
     _check_index(n, "n")
     _check_index(m, "m")
@@ -393,14 +398,10 @@ def p_parts(
     # the default skips the Fraction check, which would cost the fast
     # path about a third of its time
     c = constant if constant is DEFAULT_CROSSOVER else _as_fraction(constant)
-    if m == 0:
-        return 1 if n == 0 else 0
-    if n < m:
-        return 0
-    if n == m:
-        return 1
     route = _route(n, m, c, method)
     if route == FAST_PATH:
+        if m == 0 or n <= m:
+            return int(n == m)
         cache = shared_p_series() if cache is None else cache
         cache.ensure(n - m)
         return cache.values[n - m]
@@ -412,10 +413,10 @@ def p_parts(
 
 
 def _staircase(n, m):
-    """n - m*(m - 1)/2, the index with Q(n, m) = P(shifted, m); None
-    when the shifted index is below m, where Q(n, m) = 0."""
-    shifted = n - m * (m - 1) // 2
-    return shifted if shifted >= m else None
+    """max(n - m*(m - 1)/2, 0), the index with Q(n, m) = P(shifted, m).
+
+    Exact below the staircase too: P(k, m) = 0 for 0 <= k < m."""
+    return max(n - m * (m - 1) // 2, 0)
 
 
 def q_parts(
@@ -434,6 +435,4 @@ def q_parts(
     """
     _check_index(n, "n")
     _check_index(m, "m")
-    shifted = _staircase(n, m)
-    # below the staircase Q(n, m) = 0 = P(0, m), with the options checked
-    return p_parts(0 if shifted is None else shifted, m, cache, constant, method)
+    return p_parts(_staircase(n, m), m, cache, constant, method)

@@ -157,7 +157,7 @@ def q_column(
     _check_index(n, "n")
     _check_index(m, "m")
     shifted = _staircase(n, m)
-    if shifted is None:
+    if shifted < m:
         _check_strategy(strategy)
         return []
     return p_column(shifted, m, cache, strategy)

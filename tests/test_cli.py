@@ -88,6 +88,7 @@ def test_scalar_explain_q_uses_shifted_plan(capsys):
         ("q", 20, 4, "alg2", partita.ALG2),
         ("q", 13, 4, "closed", partita.CLOSED_FORM),  # auto takes the fast path
         ("p", 10, 10, "alg2", partita.FAST_PATH),  # answered before any route
+        ("q", 5, 3, "alg1", partita.FAST_PATH),  # below the staircase
     ],
 )
 def test_scalar_explain_names_forced_route(capsys, kind, n, m, method, label):
@@ -113,8 +114,9 @@ def test_algorithm_forcing_same_value(capsys):
     assert seen == {"366\n"}
 
 
-def test_algorithm_closed_out_of_range(capsys):
-    code, _, err = run(capsys, "p", "30", "12", "--algorithm", "closed")
+@pytest.mark.parametrize("n, m", [("30", "12"), ("10", "30")])
+def test_algorithm_closed_out_of_range(capsys, n, m):
+    code, _, err = run(capsys, "p", n, m, "--algorithm", "closed")
     assert code == 2
     assert err.startswith("error:")
 
@@ -135,6 +137,24 @@ def test_negative_index_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["p", "-4", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("method", ["auto", "alg2"])
+def test_oracle_explain_names_the_oracle(capsys, method):
+    # the enumeration computed the value, whatever route --algorithm names
+    plan = partita.dispatch_plan(10, 3)
+    args = ("p", "10", "3", "--oracle", "--explain", "--algorithm", method)
+    code, out, _ = run(capsys, *args)
+    assert (code, out) == (
+        0,
+        f"8\nchosen=oracle steps_alg1={plan.alg1} steps_alg2={plan.alg2}\n",
+    )
+    code, out, _ = run(capsys, *args, "--format", "csv")
+    assert out.splitlines()[1] == f"10,3,8,oracle,{plan.alg1},{plan.alg2}"
+    code, out, _ = run(capsys, *args, "--format", "json")
+    params = json.loads(out)["params"]
+    assert (params["algorithm"], params["chosen"]) == ("oracle", "oracle")
+    assert (params["steps_alg1"], params["steps_alg2"]) == (plan.alg1, plan.alg2)
 
 
 def test_oracle_recount(capsys):

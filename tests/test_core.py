@@ -357,6 +357,8 @@ def test_big_value_integrity():
         (p_column, (5, 0), {"strategy": "magic"}),
         (q_column, (5, 3), {"strategy": "magic"}),
         (dispatch_plan, (10, 8), {"constant": -1}),
+        (p_parts, (3, 7), {"method": "closed"}),
+        (q_parts, (3, 10), {"method": "closed"}),
     ],
 )
 def test_bad_options_rejected_before_trivial_cases(fn, args, options):

@@ -59,6 +59,32 @@ def test_p_parts_calls_its_route(calls, n, m, method, route):
     assert calls["PartitionSeries.ensure"] == (route == "core.p_parts_alg2")
 
 
+_ROUTE_FUNCTIONS = {
+    core.ALG1: "core.p_parts_alg1",
+    core.ALG2: "core.p_parts_alg2",
+    core.CLOSED_FORM: "core.p_parts_closed",
+}
+
+
+def test_route_label_is_the_route_taken(calls):
+    # p_parts runs exactly what _route names, trivial cases included
+    cache = series.PartitionSeries()
+    for n in range(41):
+        for m in range(n + 3):
+            for method in core._METHODS:
+                try:
+                    label = core._route(n, m, core.DEFAULT_CROSSOVER, method)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        core.p_parts(n, m, cache, method=method)
+                    continue
+                calls.clear()
+                core.p_parts(n, m, cache, method=method)
+                routes = {k: v for k, v in calls.items() if k.startswith("core.")}
+                want = {_ROUTE_FUNCTIONS[label]: 1} if label in _ROUTE_FUNCTIONS else {}
+                assert routes == want, (n, m, method, label)
+
+
 def test_fast_path_reads_the_series(calls):
     cache = series.PartitionSeries()
     assert core.p_parts(400, 250, cache) == _alg1(400, 250)
