@@ -11,103 +11,16 @@ slow enumeration oracle for independent verification.  All counts are
 exact Python integers.
 """
 
-from .core import (
-    ALG1,
-    ALG2,
-    CLOSED_FORM,
-    DEFAULT_CROSSOVER,
-    FAST_PATH,
-    INDEX_CEILING,
-    StepEstimate,
-    alg1_steps,
-    alg2_steps,
-    analytic_crossover,
-    analytic_crossover_floor,
-    dispatch_plan,
-    expansion_depth,
-    p_parts,
-    p_parts_alg1,
-    p_parts_alg2,
-    p_parts_closed,
-    practical_crossover,
-    q_parts,
-)
-from .lists import (
-    COLUMN_POWER,
-    COLUMN_SCALE,
-    causal_convolution,
-    p_column,
-    p_row,
-    q_column,
-    q_row,
-)
-from .oracle import (
-    ORACLE_LIMIT,
-    OracleLimitError,
-    count_partitions,
-    count_with_greatest_part,
-    distinct_length_counts,
-    iter_partitions,
-    partition_length_counts,
-)
-from .series import (
-    CacheFormatError,
-    DistinctSeries,
-    PartitionSeries,
-    is_generalized_pentagonal,
-    load_series,
-    save_series,
-    serialize_series,
-    series_checksum,
-    shared_p_series,
-    shared_q_series,
-)
+from . import core, lists, oracle, series
+from .core import *
+from .lists import *
+from .oracle import *
+from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALG1",
-    "ALG2",
-    "CLOSED_FORM",
-    "COLUMN_POWER",
-    "COLUMN_SCALE",
-    "DEFAULT_CROSSOVER",
-    "FAST_PATH",
-    "INDEX_CEILING",
-    "ORACLE_LIMIT",
-    "CacheFormatError",
-    "DistinctSeries",
-    "OracleLimitError",
-    "PartitionSeries",
-    "StepEstimate",
-    "alg1_steps",
-    "alg2_steps",
-    "analytic_crossover",
-    "analytic_crossover_floor",
-    "causal_convolution",
-    "count_partitions",
-    "count_with_greatest_part",
-    "dispatch_plan",
-    "distinct_length_counts",
-    "expansion_depth",
-    "is_generalized_pentagonal",
-    "iter_partitions",
-    "load_series",
-    "p_column",
-    "p_parts",
-    "p_parts_alg1",
-    "p_parts_alg2",
-    "p_parts_closed",
-    "p_row",
-    "partition_length_counts",
-    "practical_crossover",
-    "q_column",
-    "q_parts",
-    "q_row",
-    "save_series",
-    "serialize_series",
-    "series_checksum",
-    "shared_p_series",
-    "shared_q_series",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += core.__all__
+__all__ += lists.__all__
+__all__ += oracle.__all__
+__all__ += series.__all__

@@ -89,17 +89,6 @@ def _csv(rows):
     return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _plan_for(args):
-    # the step models of the P(n, m) that q_parts reads, and the route
-    # that computed the value
-    n, m, constant = args.n, args.m, args.crossover_constant
-    if args.kind == "q":
-        n = core._staircase(n, m)
-    plan = core.dispatch_plan(n, m, constant)
-    route = "oracle" if args.oracle else core._route(n, m, constant, args.algorithm)
-    return core.StepEstimate(plan.alg1, plan.alg2, route)
-
-
 def _scalar_output(args, value, plan):
     explained = {} if plan is None else {
         "chosen": plan.chosen, "steps_alg1": plan.alg1, "steps_alg2": plan.alg2
@@ -129,12 +118,21 @@ def _sequence_output(args, kind, params, start, values):
 def _cmd_scalar(args):
     cache = _load_p_cache(args.cache) if args.cache else None
     distinct = args.kind == "q"
+    n, m, constant = args.n, args.m, args.crossover_constant
+    # the route of the P(n, m) that q_parts reads, decided before any
+    # counting so that a forced route is checked under --oracle too
+    shifted = core._staircase(n, m) if distinct else n
+    route = core._route(shifted, m, constant, args.algorithm)
     if args.oracle:
-        value = oracle.count_partitions(args.n, args.m, distinct=distinct)
+        route = "oracle"
+        value = oracle.count_partitions(n, m, distinct=distinct)
     else:
         count = core.q_parts if distinct else core.p_parts
-        value = count(args.n, args.m, cache, args.crossover_constant, args.algorithm)
-    plan = _plan_for(args) if args.explain else None
+        value = count(n, m, cache, constant, args.algorithm)
+    plan = None
+    if args.explain:
+        steps = core.dispatch_plan(shifted, m, constant)
+        plan = core.StepEstimate(steps.alg1, steps.alg2, route)
     _emit(_scalar_output(args, value, plan), args.out)
 
 
@@ -271,8 +269,6 @@ def _bench_fit_output(args, rows):
 
 
 def _cmd_bench(args):
-    if args.n < 1:
-        raise ValueError("bench requires n >= 1")
     if args.fit_crossover and args.steps_only:
         raise ValueError("--fit-crossover needs timings; drop --steps-only")
     rows = _bench_rows(args)
@@ -339,7 +335,8 @@ def build_parser():
     )
     scalar.add_argument(
         "--oracle", action="store_true",
-        help="recount by direct enumeration instead (slow, n <= 80)",
+        help="recount by direct enumeration instead (slow, n <= 80); a "
+        "forced --algorithm is still checked",
     )
     scalar.add_argument(
         "--cache", metavar="PATH", help="seed the series cache from a saved P cache"

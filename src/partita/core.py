@@ -208,10 +208,9 @@ _F_MOD6 = (-96, 629, 224, 309, 224, 629)
 
 
 def _round_nearest(num, den):
-    # round half away from zero, exact integer arithmetic, den > 0
-    if num >= 0:
-        return (2 * num + den) // (2 * den)
-    return -((-2 * num + den) // (2 * den))
+    # round half up, exact integer arithmetic, den > 0; num >= 0, since
+    # every closed-form numerator is nonnegative for 1 <= m <= 6, n >= m
+    return (2 * num + den) // (2 * den)
 
 
 def p_parts_closed(n: int, m: int) -> int:

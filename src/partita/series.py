@@ -36,6 +36,19 @@ import threading
 from math import isqrt
 from pathlib import Path
 
+__all__ = [
+    "CacheFormatError",
+    "DistinctSeries",
+    "PartitionSeries",
+    "is_generalized_pentagonal",
+    "load_series",
+    "save_series",
+    "serialize_series",
+    "series_checksum",
+    "shared_p_series",
+    "shared_q_series",
+]
+
 # Indices (n, m) are bounded; the counted values themselves are not.
 INDEX_CEILING = 2**62
 

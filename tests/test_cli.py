@@ -114,9 +114,11 @@ def test_algorithm_forcing_same_value(capsys):
     assert seen == {"366\n"}
 
 
-@pytest.mark.parametrize("n, m", [("30", "12"), ("10", "30")])
-def test_algorithm_closed_out_of_range(capsys, n, m):
-    code, _, err = run(capsys, "p", n, m, "--algorithm", "closed")
+@pytest.mark.parametrize(
+    "argv", [("30", "12"), ("10", "30"), ("10", "8", "--oracle")], ids="-".join
+)
+def test_algorithm_closed_out_of_range(capsys, argv):
+    code, _, err = run(capsys, "p", *argv, "--algorithm", "closed")
     assert code == 2
     assert err.startswith("error:")
 
