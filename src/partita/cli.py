@@ -18,6 +18,7 @@ memory), 3 malformed cache file.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -426,9 +427,11 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)  # a build costs more than a cache-backed count
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except series.CacheFormatError as exc:

@@ -273,13 +273,13 @@ def save_series(series, path):
 
 
 def load_series(path):
-    """Read a cache file back, validating structure line by line.
+    """Read a cache file back: one digit scan, then one int() per line.
 
-    Returns a PartitionSeries or DistinctSeries according to the header.
-    Malformed input raises CacheFormatError naming the bad line; checks
-    cover ASCII text, the header shape, the promised value count,
-    decimal syntax of every value line, values within the interpreter's
-    int-string digit limit, and values[0] == 1 for nonempty caches.
+    Returns a PartitionSeries or DistinctSeries as the header says, or
+    raises CacheFormatError naming the first bad line: non-ASCII bytes, a
+    bad header or count, a value line of anything but ASCII digits (a sign,
+    underscore or space), a value past the interpreter's int-string digit
+    limit, or a first value other than 1.
     """
     raw = Path(path).read_bytes()
     try:
@@ -301,15 +301,22 @@ def load_series(path):
         raise CacheFormatError(
             len(lines), f"header promises {count} values, file has {len(lines) - 1}"
         )
-    values = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.isdigit():
-            raise CacheFormatError(lineno, f"not a decimal value: {line!r}")
-        try:
-            values.append(int(line))
-        except ValueError as exc:  # over the interpreter's int-string digit limit
-            message = f"{len(line)}-digit value exceeds the interpreter's limit"
-            raise CacheFormatError(lineno, message) from exc
+    body = lines[1:]
+    try:  # bytes.isdigit, unlike int(), takes ASCII digits only
+        if body and not "".join(body).encode("ascii").isdigit():
+            raise ValueError
+        values = list(map(int, body))  # fails on "" and past the digit limit
+    except ValueError:  # walk to the first bad line
+        for lineno, line in enumerate(body, start=2):
+            if not line.isdigit():
+                message = f"not a decimal value: {line!r}"
+                raise CacheFormatError(lineno, message) from None
+            try:
+                int(line)
+            except ValueError as exc:  # over the interpreter's int-string digit limit
+                message = f"{len(line)}-digit value exceeds the interpreter's limit"
+                raise CacheFormatError(lineno, message) from exc
+        raise
     if values and values[0] != 1:
         raise CacheFormatError(2, "first value must be 1")
     cls = PartitionSeries if kind == PartitionSeries.KIND else DistinctSeries

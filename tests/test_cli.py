@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import partita
+from partita import cli
 from partita.cli import main
 
 
@@ -451,6 +452,38 @@ def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys, monkeypatch, tmp_path):
+    bad = tmp_path / "bad.cache"
+    bad.write_bytes(b"PCACHE v1 2\n1\n+5\n")
+    sequence = (
+        ["p", "7"],
+        ["--help"],
+        ["p", "7", "4", "--format", "json"],
+        ["p", "7", "4"],
+        ["q", "20", "4", "--explain"],
+        ["list", "p-row", "5", "--format", "csv"],
+        ["cache", "load", str(bad)],
+    )
+
+    def outcomes():
+        seen = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    reused = outcomes()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    assert reused == outcomes()
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0, 0, 3]
+    assert reused[3][1] == "3\n"
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_console_entry_point():

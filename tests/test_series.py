@@ -2,6 +2,7 @@
 growth, and the cache file format with its failure modes."""
 
 import hashlib
+import re
 import sys
 import threading
 
@@ -297,3 +298,94 @@ def test_round_trip_any_prefix(tmp_path_factory, values):
     loaded = load_series(path)
     assert loaded.values == values
     assert serialize_series(loaded) == serialize_series(s)
+
+
+def _valid_cache_with(line_text, at):
+    # 5000 values of 1 (a valid cache) with value line ``at`` replaced
+    lines = [b"PCACHE v1 5000"] + [b"1"] * 5000
+    lines[at - 1] = line_text
+    return b"\n".join(lines) + b"\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"+5",
+        b"1_0",
+        b" 5",
+        b"5\t",
+        b"",
+        pytest.param(
+            b"1" * (DIGIT_LIMIT + 1),
+            marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit"),
+            id="over-digit-limit",
+        ),
+    ],
+)
+@pytest.mark.parametrize("line", [3, 3217, 5001])
+def test_int_spellings_the_format_forbids(tmp_path, text, line):
+    # int() accepts the first four spellings; the format does not
+    path = tmp_path / "bad.cache"
+    path.write_bytes(_valid_cache_with(text, line))
+    with pytest.raises(CacheFormatError) as exc:
+        load_series(path)
+    if text.isdigit():
+        message = f"{len(text)}-digit value exceeds the interpreter's limit"
+        assert isinstance(exc.value.__cause__, ValueError)
+    else:
+        message = f"not a decimal value: {text.decode()!r}"
+    assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
+
+def _per_line_load(raw):
+    # the value-by-value loader that the bulk scan replaced, kept here as
+    # the reference: (kind, values) or (line, message) of the error
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start].decode("ascii") + "x").splitlines())
+        return line, "cache file is not ASCII text"
+    lines = text.splitlines()
+    if not lines:
+        return 1, "empty file, expected a PCACHE/QCACHE header"
+    match = re.match(r"(PCACHE|QCACHE) v1 (0|[1-9][0-9]*)\Z", lines[0])
+    if match is None:
+        return 1, f"bad header {lines[0]!r}"
+    count = match.group(2)
+    if count != str(len(lines) - 1):
+        return len(lines), f"header promises {count} values, file has {len(lines) - 1}"
+    values = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.isdigit():
+            return lineno, f"not a decimal value: {line!r}"
+        values.append(int(line))
+    if values and values[0] != 1:
+        return 2, "first value must be 1"
+    return match.group(1), values
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=10**6), max_size=8),
+    st.sampled_from(["insert", "replace", "delete"]),
+    st.integers(min_value=0),
+    st.sampled_from(list(b"0123456789 +_-\n\r\x0b\x0c\t\xe9")),
+)
+def test_bulk_load_matches_per_line_loop(tmp_path_factory, tail, how, at, byte):
+    raw = bytearray(serialize_series(PartitionSeries(values=[1] + tail)))
+    at %= len(raw) + (how == "insert")
+    if how == "insert":
+        raw.insert(at, byte)
+    elif how == "replace":
+        raw[at] = byte
+    else:
+        del raw[at]
+    path = tmp_path_factory.mktemp("caches") / "mutated.cache"
+    path.write_bytes(raw)
+    expected = _per_line_load(bytes(raw))
+    try:
+        loaded = load_series(path)
+    except CacheFormatError as exc:
+        line, message = expected
+        assert (exc.line, str(exc)) == (line, f"line {line}: {message}")
+    else:
+        assert (loaded.KIND, loaded.values) == expected
