@@ -22,7 +22,6 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from statistics import median_low
 from time import perf_counter_ns
 
 from . import core, lists, oracle, series
@@ -132,8 +131,7 @@ def _cmd_scalar(args):
         value = count(n, m, cache, constant, args.algorithm)
     plan = None
     if args.explain:
-        steps = core.dispatch_plan(shifted, m, constant)
-        plan = core.StepEstimate(steps.alg1, steps.alg2, route)
+        plan = core.dispatch_plan(shifted, m, constant)._replace(chosen=route)
     _emit(_scalar_output(args, value, plan), args.out)
 
 
@@ -181,7 +179,7 @@ def _median_time_ns(fn, repetitions):
         start = perf_counter_ns()
         fn()
         times.append(perf_counter_ns() - start)
-    return median_low(times)
+    return sorted(times)[(repetitions - 1) // 2]  # the low median
 
 
 def _bench_rows(args):

@@ -28,7 +28,7 @@ All counts are exact Python integers; closed forms use exact rational
 rounding, never floating point.  Indices are bounded by INDEX_CEILING.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, count
 from math import isqrt
@@ -68,6 +68,8 @@ DEFAULT_CROSSOVER = Fraction(27, 10)
 
 
 def _as_fraction(constant):
+    if isinstance(constant, bool):
+        raise ValueError("crossover constant must be a number, got bool")
     if isinstance(constant, Fraction):
         value = constant
     elif isinstance(constant, int):
@@ -342,18 +344,16 @@ def _route(n, m, c, method="auto"):
     return ALG2
 
 
-@dataclass(frozen=True)
-class StepEstimate:
-    """Step models for both algorithms plus the dispatcher's pick.
+class StepEstimate(namedtuple("StepEstimate", "alg1 alg2 chosen")):
+    """Step models for both algorithms plus the dispatcher's pick, as the
+    named tuple (alg1, alg2, chosen).
 
     ``chosen`` is a pure function of (n, m) and the crossover constant;
     it never depends on cache state, and changing the constant can only
     change ``chosen``, never the computed value.
     """
 
-    alg1: int
-    alg2: int
-    chosen: str
+    __slots__ = ()
 
 
 def dispatch_plan(n: int, m: int, constant=DEFAULT_CROSSOVER) -> StepEstimate:

@@ -34,7 +34,6 @@ import hashlib
 import re
 import threading
 from math import isqrt
-from pathlib import Path
 
 __all__ = [
     "CacheFormatError",
@@ -269,7 +268,8 @@ def serialize_series(series) -> bytes:
 
 
 def save_series(series, path):
-    Path(path).write_bytes(serialize_series(series))
+    with open(path, "wb") as f:
+        f.write(serialize_series(series))
 
 
 def load_series(path):
@@ -281,7 +281,8 @@ def load_series(path):
     underscore or space), a value past the interpreter's int-string digit
     limit, or a first value other than 1.
     """
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        raw = f.read()
     try:
         text = raw.decode("ascii")
     except UnicodeDecodeError as exc:

@@ -431,6 +431,15 @@ def test_missing_cache_exit_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_cache_io_error_names_the_path_as_typed(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "cache", "load", "./nope.cache")
+    assert (code, err) == (2, "error: [Errno 2] No such file or directory: './nope.cache'\n")
+    run(capsys, "cache", "save", "p.cache", "-n", "5")
+    code, _, err = run(capsys, "cache", "info", "p.cache/")
+    assert (code, err) == (2, "error: [Errno 20] Not a directory: 'p.cache/'\n")
+
+
 def test_scalar_rejects_q_cache(capsys, tmp_path):
     path = tmp_path / "q.cache"
     run(capsys, "cache", "save", str(path), "-n", "10", "--kind", "q")
@@ -484,6 +493,19 @@ def test_reused_parser_leaks_nothing_between_calls(capsys, monkeypatch, tmp_path
     assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0, 0, 3]
     assert reused[3][1] == "3\n"
     assert cli.build_parser() is not cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "repetitions,expected", [(1, 40), (3, 30), (4, 20)]
+)
+def test_median_time_is_the_low_median(monkeypatch, repetitions, expected):
+    # each timed call reads the clock twice; these pairs take 40, 20, 30
+    # and 10 ns, so four runs have middle values 20 and 30 and report 20
+    clock = iter([0, 40, 100, 120, 200, 230, 300, 310])
+    monkeypatch.setattr(cli, "perf_counter_ns", lambda: next(clock))
+    calls = []
+    assert cli._median_time_ns(lambda: calls.append(1), repetitions) == expected
+    assert len(calls) == repetitions
 
 
 def test_console_entry_point():

@@ -13,6 +13,7 @@ from partita import (
     DEFAULT_CROSSOVER,
     FAST_PATH,
     PartitionSeries,
+    StepEstimate,
     alg1_steps,
     alg2_steps,
     analytic_crossover,
@@ -253,6 +254,20 @@ def test_dispatch_labels():
     assert dispatch_plan(10, 10).chosen == FAST_PATH
 
 
+def test_step_estimate_is_an_immutable_named_tuple():
+    plan = dispatch_plan(400, 54)
+    assert repr(plan) == "StepEstimate(alg1=16907, alg2=2058, chosen='alg1')"
+    built = StepEstimate(1, 2, "x")
+    assert (built.alg1, built.alg2, built.chosen) == (1, 2, "x")
+    assert plan == StepEstimate(plan.alg1, plan.alg2, plan.chosen)
+    assert hash(plan) == hash((plan.alg1, plan.alg2, plan.chosen))
+    with pytest.raises(AttributeError):
+        plan.chosen = ALG2
+    with pytest.raises(AttributeError):
+        plan.note = "extra"
+    assert plan.chosen == ALG1
+
+
 def test_dispatch_plan_zero_outside_range():
     for n, m in ((0, 0), (5, 0), (3, 7), (4, 4)):
         plan = dispatch_plan(n, m)
@@ -359,6 +374,8 @@ def test_big_value_integrity():
         (dispatch_plan, (10, 8), {"constant": -1}),
         (p_parts, (3, 7), {"method": "closed"}),
         (q_parts, (3, 10), {"method": "closed"}),
+        (p_parts, (3, 5), {"constant": True}),
+        (dispatch_plan, (10, 8), {"constant": False}),
     ],
 )
 def test_bad_options_rejected_before_trivial_cases(fn, args, options):

@@ -1,6 +1,10 @@
 """The package surface: ``partita`` re-exports each submodule's
 ``__all__``, so every public name is declared once, in its module."""
 
+import os
+import subprocess
+import sys
+
 import partita
 from partita import core, lists, oracle, series
 
@@ -30,3 +34,19 @@ def test_surface_is_the_union_of_module_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(partita, name) is getattr(module, name), name
+
+
+def test_cli_import_skips_heavy_stdlib_modules():
+    # -I -S: no site, no user paths, no PYTHONPATH, so the snippet sees
+    # only the interpreter's own start-up modules plus what partita loads
+    src = os.path.dirname(os.path.dirname(partita.__file__))
+    snippet = (
+        f"import sys; sys.path.insert(0, {src!r}); import partita.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'statistics', 'pathlib'}"
+        " & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", snippet], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
