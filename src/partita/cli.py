@@ -132,12 +132,12 @@ def _cmd_scalar(args):
     plan = None
     if args.explain:
         plan = core.dispatch_plan(shifted, m, constant)._replace(chosen=route)
-    _emit(_scalar_output(args, value, plan), args.out)
+    return _scalar_output(args, value, plan)
 
 
 def _cmd_row(args):
     values = (lists.p_row if args.kind == "p" else lists.q_row)(args.n)
-    _emit(_sequence_output(args, args.table, {"n": args.n}, 1, values), args.out)
+    return _sequence_output(args, args.table, {"n": args.n}, 1, values)
 
 
 def _cmd_col(args):
@@ -149,14 +149,14 @@ def _cmd_col(args):
         # n < m means the column has no entries, not that the call is bad
         values = [] if n < m else lists.p_column(n, m, strategy=args.strategy)
         start = m
-    _emit(_sequence_output(args, args.table, {"n": n, "m": m}, start, values), args.out)
+    return _sequence_output(args, args.table, {"n": n, "m": m}, start, values)
 
 
 def _cmd_series(args):
     s = _SERIES[args.kind](algorithm=args.series_algorithm)
     s.ensure(args.n)
     params = {"n": args.n, "algorithm": args.series_algorithm}
-    _emit(_sequence_output(args, args.table, params, 0, s.values), args.out)
+    return _sequence_output(args, args.table, params, 0, s.values)
 
 
 def _parse_m_range(text, n):
@@ -270,30 +270,26 @@ def _bench_fit_output(args, rows):
 def _cmd_bench(args):
     if args.fit_crossover and args.steps_only:
         raise ValueError("--fit-crossover needs timings; drop --steps-only")
-    rows = _bench_rows(args)
-    if args.fit_crossover:
-        _emit(_bench_fit_output(args, rows), args.out)
-    else:
-        _emit(_bench_table_output(args, rows), args.out)
+    output = _bench_fit_output if args.fit_crossover else _bench_table_output
+    return output(args, _bench_rows(args))
 
 
 def _cmd_cache_save(args):
     s = _SERIES[args.kind]()
     s.ensure(args.n)
     series.save_series(s, args.path)
-    print(f"wrote {len(s.values)} values to {args.path}")
+    return f"wrote {len(s.values)} values to {args.path}\n"
 
 
 def _cmd_cache_load(args):
     s = series.load_series(args.path)
-    print(f"{args.path}: ok, kind={_kind_of(s)}, {len(s.values)} values")
+    return f"{args.path}: ok, kind={_kind_of(s)}, {len(s.values)} values\n"
 
 
 def _cmd_cache_info(args):
     s = series.load_series(args.path)
-    print(f"kind: {_kind_of(s)}")
-    print(f"length: {len(s.values)}")
-    print(f"sha256: {series.series_checksum(s)}")
+    checksum = series.series_checksum(s)
+    return f"kind: {_kind_of(s)}\nlength: {len(s.values)}\nsha256: {checksum}\n"
 
 
 # ``partita list`` tables, in help order; the name is "<kind>-<shape>".
@@ -431,7 +427,7 @@ _parser = functools.cache(build_parser)  # a build costs more than a cache-backe
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        args.func(args)
+        _emit(args.func(args), getattr(args, "out", None))
     except series.CacheFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

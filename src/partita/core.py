@@ -34,7 +34,7 @@ from itertools import accumulate, count
 from math import isqrt
 from operator import add
 
-from .series import INDEX_CEILING, PartitionSeries, _check_index, shared_p_series
+from .series import INDEX_CEILING, PartitionSeries, _check_index, _p_values
 
 __all__ = [
     "ALG1",
@@ -194,13 +194,13 @@ def p_parts_alg2(n: int, m: int, cache: PartitionSeries | None = None) -> int:
     correction is one slot of the series prefix after recurrence stages
     1..i (see ``_expansion``), so nothing is multiplied: about
     expansion_depth(n, m) stages of at most n - 2m additions.  Extends
-    the cache to n - m on demand.  Requires 1 <= m <= n.
+    ``cache``, a PartitionSeries or None for the shared one, to n - m;
+    anything else raises ValueError.  Requires 1 <= m <= n.
     """
     _check_span(n, m, "p_parts_alg2")
-    cache = shared_p_series() if cache is None else cache
-    cache.ensure(n - m)
-    x = cache.values[n - m]
-    for i, width, a in _expansion(cache.values, n, m):
+    pv = _p_values(cache, n - m)
+    x = pv[n - m]
+    for i, width, a in _expansion(pv, n, m):
         x += a[width - 1] if i % 2 == 0 else -a[width - 1]
     return x
 
@@ -387,8 +387,8 @@ def p_parts(
     m <= c * sqrt(n), algorithm 2 otherwise.  ``method`` may force
     "alg1", "alg2" or "closed"; a forced method changes the route, never
     the value, and "closed" is refused for m > 6 whatever n is.
-    ``cache`` is a PartitionSeries, extended on demand; the shared
-    default is used when omitted.
+    ``cache`` is a PartitionSeries, extended on demand, or None for the
+    shared one; anything else raises ValueError when a route reads it.
     """
     _check_index(n, "n")
     _check_index(m, "m")
@@ -401,9 +401,7 @@ def p_parts(
     if route == FAST_PATH:
         if m == 0 or n <= m:
             return int(n == m)
-        cache = shared_p_series() if cache is None else cache
-        cache.ensure(n - m)
-        return cache.values[n - m]
+        return _p_values(cache, n - m)[n - m]
     if route == CLOSED_FORM:
         return p_parts_closed(n, m)
     if route == ALG1:
@@ -430,7 +428,7 @@ def q_parts(
     Subtracting the staircase 0 + 1 + ... + (m - 1) from the parts maps
     these bijectively onto ordinary partitions into m parts, so
     Q(n, m) = P(n - m*(m - 1)/2, m); zero whenever the shifted index is
-    below m (the staircase itself needs m*(m + 1)/2).
+    below m (the staircase itself needs m*(m + 1)/2).  ``cache`` as in p_parts.
     """
     _check_index(n, "n")
     _check_index(m, "m")

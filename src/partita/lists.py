@@ -23,7 +23,7 @@ route calls.
 from operator import add, mul, sub
 
 from .core import _expansion, _recurrence_array, _staircase
-from .series import PartitionSeries, _check_index, shared_p_series
+from .series import PartitionSeries, _check_index, _p_values
 
 __all__ = [
     "COLUMN_SCALE",
@@ -71,16 +71,15 @@ def p_row(n: int, cache: PartitionSeries | None = None) -> list:
     alternating corrections.  Order i's corrections for all m sit in one
     series prefix after recurrence stages 1..i (``core._expansion`` at
     m = 1), consecutive m sitting i + 1 slots apart, so one strided
-    slice serves the whole row: about sqrt(2n) stages of at most n additions each, the
-    O(n^2) bit cost of the paper, and no multiplication.  Requires
-    n >= 1; extends the cache as needed.
+    slice serves the whole row: about sqrt(2n) stages of at most n
+    additions each, the paper's O(n^2) bit cost, and no multiplication.
+    Requires n >= 1.  ``cache`` is a PartitionSeries, extended as needed,
+    or None for the shared one; anything else raises ValueError.
     """
     _check_index(n, "n")
     if n < 1:
         raise ValueError("p_row requires n >= 1")
-    cache = shared_p_series() if cache is None else cache
-    cache.ensure(n - 1)
-    pv = cache.values
+    pv = _p_values(cache, n - 1)
     out = pv[n - 1 :: -1]  # entry m - 1 holds P(n - m), then P(n, m)
     for i, width, a in _expansion(pv, n, 1):
         # entry m - 1 reads a[width - 1 - (m - 1)*(i + 1)]
@@ -103,8 +102,8 @@ def p_column(
     algorithm 2's corrections, each order's recurrence-stage prefix
     added densely since consecutive entries sit one slot apart (good for
     large m).  "auto" picks direct exactly when
-    m < COLUMN_SCALE * n**COLUMN_POWER, that is m < sqrt(n).  Requires
-    0 <= m <= n.
+    m < COLUMN_SCALE * n**COLUMN_POWER, that is m < sqrt(n).  "conv" reads
+    ``cache`` as p_row does.  Requires 0 <= m <= n.
     """
     _check_index(n, "n")
     _check_index(m, "m")
@@ -117,9 +116,7 @@ def p_column(
         strategy = "direct" if m < COLUMN_SCALE * float(n) ** COLUMN_POWER else "conv"
     if strategy == "direct":
         return _recurrence_array(n, m)
-    cache = shared_p_series() if cache is None else cache
-    cache.ensure(n - m)
-    pv = cache.values
+    pv = _p_values(cache, n - m)
     out = pv[: n - m + 1]  # slot j starts at P(j), j = entry index - m
     for i, width, a in _expansion(pv, n, m):
         # the last width entries, up to P(n, m), receive a[0..width-1]

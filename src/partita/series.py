@@ -31,6 +31,7 @@ never extended twice.
 """
 
 import hashlib
+import os
 import re
 import threading
 from math import isqrt
@@ -141,10 +142,8 @@ def _extend_p_ewell(values, n):
         values.append(total)
 
 
-def _extend_q_ewell(values, p_series, n):
+def _extend_q_ewell(values, pv, n):
     # Q(i) = P(i) + sum_{k>=1} (-1)^k [P(i - k(3k-1)) + P(i - k(3k+1))]
-    p_series.ensure(n)
-    pv = p_series.values
     for i in range(len(values), n + 1):
         values.append(pv[i] - _pentagonal_sum(pv, i, 2))
 
@@ -220,8 +219,8 @@ class PartitionSeries(_Series):
 class DistinctSeries(_Series):
     """Materialized prefix of Q(0), Q(1), ...
 
-    The "ewell" recurrence reads a PartitionSeries (one is created on
-    first use unless supplied); "merca" is self-contained.
+    "ewell" reads ``p_series``: a PartitionSeries, or None for the shared
+    one; anything else raises ValueError.  "merca" is self-contained.
     """
 
     ALGORITHMS = ("merca", "ewell")
@@ -235,9 +234,7 @@ class DistinctSeries(_Series):
 
     def _extend(self, n):
         if self.algorithm == "ewell":
-            if self.p_series is None:
-                self.p_series = PartitionSeries()
-            _extend_q_ewell(self.values, self.p_series, n)
+            _extend_q_ewell(self.values, _p_values(self.p_series, n), n)
         else:
             _extend_q_merca(self.values, n)
 
@@ -268,7 +265,8 @@ def serialize_series(series) -> bytes:
 
 
 def save_series(series, path):
-    with open(path, "wb") as f:
+    # fspath refuses an int, which open() would take as a descriptor
+    with open(os.fspath(path), "wb") as f:
         f.write(serialize_series(series))
 
 
@@ -281,7 +279,7 @@ def load_series(path):
     underscore or space), a value past the interpreter's int-string digit
     limit, or a first value other than 1.
     """
-    with open(path, "rb") as f:
+    with open(os.fspath(path), "rb") as f:
         raw = f.read()
     try:
         text = raw.decode("ascii")
@@ -341,3 +339,13 @@ def shared_p_series() -> PartitionSeries:
 def shared_q_series() -> DistinctSeries:
     """Process-wide default Q series, safe to share across threads."""
     return _shared_q
+
+
+def _p_values(cache, top):
+    """cache.values through index top, None meaning the shared P series:
+    the one place a count picks, checks and extends the P series it reads."""
+    cache = _shared_p if cache is None else cache
+    if not isinstance(cache, PartitionSeries):
+        raise ValueError(f"expected a PartitionSeries, got {type(cache).__name__}")
+    cache.ensure(top)
+    return cache.values

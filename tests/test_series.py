@@ -2,6 +2,7 @@
 growth, and the cache file format with its failure modes."""
 
 import hashlib
+import os
 import re
 import sys
 import threading
@@ -15,6 +16,11 @@ from partita import (
     PartitionSeries,
     is_generalized_pentagonal,
     load_series,
+    p_column,
+    p_parts,
+    p_parts_alg2,
+    p_row,
+    q_parts,
     save_series,
     serialize_series,
     series_checksum,
@@ -105,6 +111,37 @@ def test_q_ewell_accepts_shared_p_series(p_series_long):
     s = DistinctSeries(algorithm="ewell", p_series=p_series_long)
     s.ensure(100)
     assert s.values[:15] == Q_PREFIX
+
+
+def test_q_ewell_reads_the_shared_p_series_by_default():
+    q = DistinctSeries(algorithm="ewell")
+    merca = DistinctSeries(algorithm="merca")
+    q.ensure(2000)
+    merca.ensure(2000)
+    assert q.values == merca.values
+    assert q.p_series is None
+    assert len(shared_p_series()) >= 2001
+
+
+# Every reader of a P series, each given something else.  Read as P
+# values, a Q series gives wrong counts: p_parts(100, 60) would return
+# Q(40) = 1113, not P(40) = 37338.
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda q: p_parts(100, 60, cache=q),  # fast path
+        lambda q: q_parts(230, 20, cache=q),  # fast path after the shift; Q = 627
+        lambda q: p_parts_alg2(400, 100, q),
+        lambda q: p_row(20, q),
+        lambda q: p_column(400, 100, q, "conv"),
+        lambda q: DistinctSeries("ewell", p_series=q).ensure(10),  # Q(10) = 10
+        lambda q: p_parts(100, 60, cache=[1, 1, 2]),
+    ],
+    ids=["p_parts", "q_parts", "p_parts_alg2", "p_row", "p_column", "q_ewell", "list"],
+)
+def test_a_p_series_reader_refuses_anything_else(read):
+    with pytest.raises(ValueError, match="PartitionSeries"):
+        read(DistinctSeries())
 
 
 def test_getitem_extends_on_demand():
@@ -224,6 +261,22 @@ def test_loaded_series_still_grows(tmp_path):
     loaded = load_series(path)
     loaded.ensure(14)
     assert loaded.values == P_PREFIX
+
+
+@pytest.mark.parametrize("fd", ["pipe", True])
+def test_cache_path_is_never_a_file_descriptor(fd):
+    # open() takes an int as a descriptor and closes it afterwards
+    r, w = os.pipe()
+    try:
+        with pytest.raises(TypeError):
+            save_series(PartitionSeries(), w if fd == "pipe" else fd)
+        with pytest.raises(TypeError):
+            load_series(r if fd == "pipe" else fd)
+        assert os.write(w, b"x") == 1
+        assert os.read(r, 1) == b"x"
+    finally:
+        os.close(r)
+        os.close(w)
 
 
 def test_empty_cache_loads_and_seeds(tmp_path):
