@@ -74,8 +74,8 @@ def _kind_of(s):
     return "p" if s.KIND == series.PartitionSeries.KIND else "q"
 
 
-def _load_p_cache(path):
-    loaded = series.load_series(path)
+def _load_p_cache(path, top):
+    loaded = series._read_cache(path, top)[0]
     if _kind_of(loaded) != "p":
         raise ValueError(f"{path} holds a Q series; scalar commands need a P cache")
     return loaded
@@ -116,12 +116,14 @@ def _sequence_output(args, kind, params, start, values):
 
 
 def _cmd_scalar(args):
-    cache = _load_p_cache(args.cache) if args.cache else None
     distinct = args.kind == "q"
     n, m, constant = args.n, args.m, args.crossover_constant
+    shifted = core._staircase(n, m) if distinct else n
+    # no route reads the P series past index shifted - m: the fast path
+    # and alg2 stop there, alg1, closed forms and the oracle read none
+    cache = _load_p_cache(args.cache, max(shifted - m, 0)) if args.cache else None
     # the route of the P(n, m) that q_parts reads, decided before any
     # counting so that a forced route is checked under --oracle too
-    shifted = core._staircase(n, m) if distinct else n
     route = core._route(shifted, m, constant, args.algorithm)
     if args.oracle:
         route = "oracle"
@@ -282,8 +284,8 @@ def _cmd_cache_save(args):
 
 
 def _cmd_cache_load(args):
-    s = series.load_series(args.path)
-    return f"{args.path}: ok, kind={_kind_of(s)}, {len(s.values)} values\n"
+    s, count = series._read_cache(args.path, 0)  # checks every line, converts one
+    return f"{args.path}: ok, kind={_kind_of(s)}, {count} values\n"
 
 
 def _cmd_cache_info(args):

@@ -22,6 +22,10 @@ Extension always restarts at the first missing index, so a cache only
 ever grows and existing entries are never rewritten.  All values are
 exact Python integers.
 
+A saved cache is read back with byte scans of the whole file, then
+int() only for the values the caller reads: ``load_series`` converts
+all of them, the CLI's counts only the prefix P(0..n - m) they use.
+
 Thread contract: a cache may be shared across threads.  Reading the
 materialized prefix takes no lock, and an ``ensure`` that finds its
 index present returns without one; extension runs under a per-cache
@@ -33,6 +37,7 @@ never extended twice.
 import hashlib
 import os
 import re
+import sys
 import threading
 from math import isqrt
 
@@ -270,17 +275,36 @@ def save_series(series, path):
         f.write(serialize_series(series))
 
 
-def load_series(path):
-    """Read a cache file back: one digit scan, then one int() per line.
+def _is_canonical(raw, start, count):
+    """True when raw[start:], the value lines, is exactly as save_series
+    writes them: ``count`` nonempty lines of ASCII digits, each
+    newline-terminated and within the digit limit.  Byte scans of raw in
+    place: a copy of a large file costs more than a scan of it."""
+    if str(raw.count(b"\n", start)) != count or not raw.endswith(b"\n"):
+        return False
+    # from start - 1 this also finds an empty first line; a backward
+    # search for b"\n\n" runs about twice as fast as a forward one
+    if raw.rfind(b"\n\n", start - 1) >= 0:
+        return False
+    # deleting digits and newlines must leave the header's letters alone
+    value_bytes = b"0123456789\n"
+    if raw.translate(None, value_bytes) != raw[:start].translate(None, value_bytes):
+        return False
+    # the int-string digit limit, read per call since it can be reset; 0
+    # (or an interpreter that predates it) means none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return True
+    # a line of limit + 1 digits covers a whole block of `step` bytes on
+    # any grid of that spacing, so some probe finds no newline; a shorter
+    # line may too, and then merely takes the per-line walk
+    step = (limit + 2) // 2
+    return all(raw.find(b"\n", i, i + step) >= 0 for i in range(start, len(raw), step))
 
-    Returns a PartitionSeries or DistinctSeries as the header says, or
-    raises CacheFormatError naming the first bad line: non-ASCII bytes, a
-    bad header or count, a value line of anything but ASCII digits (a sign,
-    underscore or space), a value past the interpreter's int-string digit
-    limit, or a first value other than 1.
-    """
-    with open(os.fspath(path), "rb") as f:
-        raw = f.read()
+
+def _walk_lines(raw):
+    # every other file: decode, split and convert line by line, naming
+    # the first bad line; returns the header's kind and all the values
     try:
         text = raw.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -295,31 +319,64 @@ def load_series(path):
         raise CacheFormatError(1, f"bad header {lines[0]!r}")
     # compared as text: a count over the int-string digit limit cannot
     # be converted, and leading zeros are already rejected
-    kind, count = match.group(1), match.group(2)
+    count = match.group(2)
     if count != str(len(lines) - 1):
         raise CacheFormatError(
             len(lines), f"header promises {count} values, file has {len(lines) - 1}"
         )
-    body = lines[1:]
-    try:  # bytes.isdigit, unlike int(), takes ASCII digits only
-        if body and not "".join(body).encode("ascii").isdigit():
-            raise ValueError
-        values = list(map(int, body))  # fails on "" and past the digit limit
-    except ValueError:  # walk to the first bad line
-        for lineno, line in enumerate(body, start=2):
-            if not line.isdigit():
-                message = f"not a decimal value: {line!r}"
-                raise CacheFormatError(lineno, message) from None
-            try:
-                int(line)
-            except ValueError as exc:  # over the interpreter's int-string digit limit
-                message = f"{len(line)}-digit value exceeds the interpreter's limit"
-                raise CacheFormatError(lineno, message) from exc
-        raise
+    values = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.isdigit():  # unlike int(), takes ASCII digits only
+            raise CacheFormatError(lineno, f"not a decimal value: {line!r}")
+        try:
+            values.append(int(line))
+        except ValueError as exc:  # over the interpreter's int-string digit limit
+            message = f"{len(line)}-digit value exceeds the interpreter's limit"
+            raise CacheFormatError(lineno, message) from exc
+    return match.group(1), values
+
+
+def _read_cache(path, top=None):
+    """(series holding values 0..top, or all of them for None; the file's
+    value count).  A file in save_series' exact form gets byte scans of
+    the whole file, then int() on lines 0..top alone; any other file takes
+    the per-line walk.  Either way the file is checked in full and the
+    same CacheFormatError names the same first bad line."""
+    with open(os.fspath(path), "rb") as f:
+        raw = f.read()
+    start = raw.find(b"\n") + 1
+    # latin-1 decodes any byte; the pattern matches ASCII only
+    match = start and _HEADER_RE.match(raw[: start - 1].decode("latin-1"))
+    if match and _is_canonical(raw, start, match.group(2)):
+        kind, count = match.group(1), int(match.group(2))
+        stop = count if top is None else min(top + 1, count)
+        # the header, lines 0..stop - 1 and the unconverted rest
+        values = list(map(int, raw.split(b"\n", stop + 1)[1 : stop + 1]))
+    else:
+        kind, values = _walk_lines(raw)
+        count = len(values)
+        if top is not None:
+            del values[top + 1 :]
+    # every line has passed by now, so this error comes last on both paths
     if values and values[0] != 1:
         raise CacheFormatError(2, "first value must be 1")
     cls = PartitionSeries if kind == PartitionSeries.KIND else DistinctSeries
-    return cls(values=values)
+    return cls(values=values), count
+
+
+def load_series(path):
+    """Read a cache file back: byte scans of the whole file, then one
+    int() per value.
+
+    Returns a PartitionSeries or DistinctSeries as the header says, or
+    raises CacheFormatError naming the first bad line: non-ASCII bytes, a
+    bad header or count, a value line of anything but ASCII digits (a sign,
+    underscore or space), a value past the interpreter's int-string digit
+    limit, or a first value other than 1.  A missing final newline, CRLF
+    or other ``str.splitlines`` endings and leading zeros are accepted; a
+    file not laid out as save_series writes it takes a slower per-line walk.
+    """
+    return _read_cache(path)[0]
 
 
 def series_checksum(series) -> str:

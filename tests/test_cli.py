@@ -457,6 +457,62 @@ def test_scalar_uses_cache_file(capsys, tmp_path):
     assert (code, out) == (0, f"{partita.p_parts(50, 30)}\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"12x",
+        b"",
+        pytest.param(
+            b"1" * (DIGIT_LIMIT + 1),
+            marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit"),
+            id="over-digit-limit",
+        ),
+    ],
+)
+@pytest.mark.parametrize("argv", [["p", "100", "60"], ["q", "100", "5"]])
+def test_scalar_cache_bad_line_beyond_the_read_prefix(capsys, tmp_path, text, argv):
+    # the count reads P(0..40) or P(0..85), lines 2..42 or 2..87; the file
+    # is still checked in full, so line 150 is named
+    path = tmp_path / "p.cache"
+    run(capsys, "cache", "save", str(path), "-n", "200")
+    lines = path.read_bytes().split(b"\n")
+    lines[149] = text
+    path.write_bytes(b"\n".join(lines))
+    if text.isdigit():
+        message = f"{len(text)}-digit value exceeds the interpreter's limit"
+    else:
+        message = f"not a decimal value: {text.decode()!r}"
+    assert run(capsys, *argv, "--cache", str(path)) == (3, "", f"error: line 150: {message}\n")
+
+
+def test_scalar_crlf_cache_counts_as_the_canonical_one(capsys, tmp_path):
+    path, crlf = tmp_path / "p.cache", tmp_path / "crlf.cache"
+    run(capsys, "cache", "save", str(path), "-n", "200")
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    for argv in (["p", "150", "80"], ["p", "200", "70"], ["q", "120", "6"]):
+        expected = run(capsys, *argv)
+        assert run(capsys, *argv, "--cache", str(path)) == expected
+        assert run(capsys, *argv, "--cache", str(crlf)) == expected
+
+
+@pytest.mark.parametrize(
+    "payload,kind,count",
+    [
+        (b"PCACHE v1 5\n1\n1\n2\n3\n5\n", "p", 5),
+        (b"QCACHE v1 5\n1\n1\n1\n2\n2\n", "q", 5),
+        (b"PCACHE v1 0\n", "p", 0),
+        (b"QCACHE v1 0\n", "q", 0),
+        (b"PCACHE v1 3\r\n1\r\n1\r\n02\r\n", "p", 3),
+    ],
+)
+def test_cache_load_golden(capsys, tmp_path, payload, kind, count):
+    path = tmp_path / "c.cache"
+    path.write_bytes(payload)
+    assert run(capsys, "cache", "load", str(path)) == (
+        0, f"{path}: ok, kind={kind}, {count} values\n", ""
+    )
+
+
 def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

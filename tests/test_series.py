@@ -27,6 +27,8 @@ from partita import (
     shared_p_series,
     shared_q_series,
 )
+from partita import series as series_module
+from partita.series import _read_cache
 
 P_PREFIX = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
 Q_PREFIX = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15, 18, 22]
@@ -442,3 +444,79 @@ def test_bulk_load_matches_per_line_loop(tmp_path_factory, tail, how, at, byte):
         assert (exc.line, str(exc)) == (line, f"line {line}: {message}")
     else:
         assert (loaded.KIND, loaded.values) == expected
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=10**6), max_size=8),
+    st.sampled_from(["insert", "replace", "delete"]),
+    st.integers(min_value=0),
+    st.sampled_from(list(b"0123456789 +_-\n\r\x0b\x0c\t\xe9")),
+    st.integers(min_value=0, max_value=10),
+)
+def test_prefix_read_matches_load_series(tmp_path_factory, tail, how, at, byte, top):
+    # the mutations of test_bulk_load_matches_per_line_loop, read through
+    # the prefix reader with a random top
+    raw = bytearray(serialize_series(PartitionSeries(values=[1] + tail)))
+    at %= len(raw) + (how == "insert")
+    if how == "insert":
+        raw.insert(at, byte)
+    elif how == "replace":
+        raw[at] = byte
+    else:
+        del raw[at]
+    path = tmp_path_factory.mktemp("caches") / "mutated.cache"
+    path.write_bytes(raw)
+    try:
+        whole = load_series(path)
+    except CacheFormatError as exc:
+        with pytest.raises(CacheFormatError) as prefix_exc:
+            _read_cache(path, top)
+        assert (prefix_exc.value.line, str(prefix_exc.value)) == (exc.line, str(exc))
+    else:
+        loaded, count = _read_cache(path, top)
+        assert (loaded.KIND, loaded.values, count) == (
+            whole.KIND, whole.values[: top + 1], len(whole.values)
+        )
+
+
+def test_canonical_file_skips_the_per_line_walk(tmp_path, monkeypatch):
+    path = tmp_path / "p.cache"
+    save_series(PartitionSeries(values=list(P_PREFIX)), path)
+    crlf = tmp_path / "crlf.cache"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    walked = []
+    walk = series_module._walk_lines
+    monkeypatch.setattr(series_module, "_walk_lines", lambda raw: walked.append(raw) or walk(raw))
+    loaded, count = _read_cache(path, 3)
+    assert (loaded.values, count, walked) == (P_PREFIX[:4], len(P_PREFIX), [])
+    loaded, count = _read_cache(crlf, 3)
+    assert (loaded.values, count, len(walked)) == (P_PREFIX[:4], len(P_PREFIX), 1)
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit")
+@pytest.mark.parametrize("extra", [-DIGIT_LIMIT // 2 - 1, -DIGIT_LIMIT // 2, -1, 0])
+@pytest.mark.parametrize("line", [3, 40, 51])
+def test_long_lines_within_the_digit_limit_load(tmp_path, extra, line):
+    # lines up to DIGIT_LIMIT digits, some long enough to be sent down the
+    # per-line walk, far beyond the one value a prefix read converts
+    digits = b"1" * (DIGIT_LIMIT + extra)
+    lines = [b"PCACHE v1 50"] + [b"1"] * 50
+    lines[line - 1] = digits
+    path = tmp_path / "long.cache"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    loaded, count = _read_cache(path, 0)
+    assert (loaded.values, count) == ([1], 50)
+    assert load_series(path).values[line - 2] == int(digits)
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit")
+def test_an_over_limit_line_is_refused_at_every_offset(tmp_path):
+    # the digit-limit scan probes on a grid of about half the limit; slide
+    # a line of DIGIT_LIMIT + 1 digits across a whole grid spacing
+    path = tmp_path / "long.cache"
+    long = b"1" * (DIGIT_LIMIT + 1)
+    for pad in range(DIGIT_LIMIT // 2 + 2):
+        path.write_bytes(b"PCACHE v1 3\n1\n1" + b"0" * pad + b"\n" + long + b"\n")
+        with pytest.raises(CacheFormatError) as exc:
+            _read_cache(path, 0)
+        assert exc.value.line == 4
