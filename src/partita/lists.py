@@ -26,22 +26,12 @@ from .core import _expansion, _recurrence_array, _staircase
 from .series import PartitionSeries, _check_index, _p_values
 
 __all__ = [
-    "COLUMN_SCALE",
-    "COLUMN_POWER",
     "causal_convolution",
     "p_column",
     "p_row",
     "q_column",
     "q_row",
 ]
-
-# Column strategy threshold: m < COLUMN_SCALE * n**COLUMN_POWER picks the
-# direct recurrence array, larger m the series route.  Purely a
-# performance knob; both strategies return identical values.  Fitted to
-# the measured crossover of the two routes, m = 0.9-1.1 sqrt(n) for n
-# from 200 to 2*10^4.
-COLUMN_SCALE = 1.0
-COLUMN_POWER = 0.5
 
 _STRATEGIES = ("auto", "direct", "conv")
 
@@ -101,9 +91,9 @@ def p_column(
     small m); "conv" builds the same values from the cached series by
     algorithm 2's corrections, each order's recurrence-stage prefix
     added densely since consecutive entries sit one slot apart (good for
-    large m).  "auto" picks direct exactly when
-    m < COLUMN_SCALE * n**COLUMN_POWER, that is m < sqrt(n).  "conv" reads
-    ``cache`` as p_row does.  Requires 0 <= m <= n.
+    large m).  "auto" picks direct exactly when m*m < n, the measured
+    crossover of the two routes (m = 0.9-1.1 sqrt(n) for n from 200 to
+    2*10^4).  "conv" reads ``cache`` as p_row does.  Requires 0 <= m <= n.
     """
     _check_index(n, "n")
     _check_index(m, "m")
@@ -113,7 +103,7 @@ def p_column(
     if m == 0:
         return [1] + [0] * n
     if strategy == "auto":
-        strategy = "direct" if m < COLUMN_SCALE * float(n) ** COLUMN_POWER else "conv"
+        strategy = "direct" if m * m < n else "conv"
     if strategy == "direct":
         return _recurrence_array(n, m)
     pv = _p_values(cache, n - m)

@@ -130,21 +130,19 @@ def test_criterion_5_lists_match_scalars():
 
 
 def test_criterion_6_scaling_ratios():
-    def median3(fn):
-        times = []
-        for _ in range(3):
+    sizes = (10**4, 4 * 10**4, 16 * 10**4)
+    calls = [lambda n=n, m=pa.practical_crossover(n): pa.p_parts(n, m) for n in sizes]
+    calls += [lambda n=n: pa.PartitionSeries().ensure(n) for n in sizes]
+    # each point is the fastest of its 3 runs, and the runs go round
+    # every point in turn: a slow spell on a shared machine must then
+    # last through all three runs of one point to move it
+    times = [float("inf")] * len(calls)
+    for _ in range(3):
+        for i, fn in enumerate(calls):
             t0 = time.perf_counter()
             fn()
-            times.append(time.perf_counter() - t0)
-        times.sort()
-        return times[1]
-
-    scalar_times = []
-    series_times = []
-    for n in (10**4, 4 * 10**4, 16 * 10**4):
-        m = pa.practical_crossover(n)
-        scalar_times.append(median3(lambda: pa.p_parts(n, m)))
-        series_times.append(median3(lambda: pa.PartitionSeries().ensure(n)))
+            times[i] = min(times[i], time.perf_counter() - t0)
+    scalar_times, series_times = times[:3], times[3:]
     ratios = []
     for seq in (scalar_times, series_times):
         for prev, cur in zip(seq, seq[1:]):

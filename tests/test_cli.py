@@ -346,6 +346,44 @@ def test_bench_fit_json(capsys):
     assert payload["practical"] == partita.practical_crossover(64)
 
 
+@pytest.mark.parametrize(
+    "fmt,alg1,expected",
+    [
+        ("csv", [1, 2, 3, 9, 9, 9], "m,constant,analytic,practical\n4,0.6325,4.69,17\n"),
+        ("csv", [1] * 6, "m,constant,analytic,practical\n,,4.69,17\n"),
+        ("plain", [1] * 6, "no crossover in range; analytic=4.69 practical=17\n"),
+    ],
+    ids=["csv-crossing", "csv-none", "plain-none"],
+)
+def test_bench_fit_golden(capsys, monkeypatch, fmt, alg1, expected):
+    # _bench_rows times alg1 then alg2 for each m; alg2 always takes 5
+    times = iter(t for pair in zip(alg1, [5] * 6) for t in pair)
+    monkeypatch.setattr(cli, "_median_time_ns", lambda fn, repetitions: next(times))
+    code, out, _ = run(
+        capsys, "bench", "40", "--m-range", "1:6", "--fit-crossover", "--format", fmt
+    )
+    assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("p", "x", "3"), "argument n: not an integer: 'x'"),
+        (("list", "p-row", "0"), "argument n: must be at least 1"),
+        (
+            ("p", "5", "3", "--crossover-constant", "abc"),
+            "argument --crossover-constant: not a number: 'abc'",
+        ),
+    ],
+    ids=["p-x-3", "list-p-row-0", "crossover-constant-abc"],
+)
+def test_bad_argument_values_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_cache_save_golden(capsys, tmp_path):
     path = tmp_path / "p.cache"
     code, out, _ = run(capsys, "cache", "save", str(path), "-n", "4")

@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partita import (
-    COLUMN_POWER,
-    COLUMN_SCALE,
     PartitionSeries,
     causal_convolution,
     p_column,
@@ -79,9 +77,9 @@ def test_column_strategies_identical():
 
 def test_column_auto_matches_both_strategies_at_threshold():
     n = 200
-    threshold = COLUMN_SCALE * float(n) ** COLUMN_POWER
-    lo = max(1, int(threshold) - 3)
-    for m in range(lo, int(threshold) + 4):
+    threshold = isqrt(n)
+    lo = max(1, threshold - 3)
+    for m in range(lo, threshold + 4):
         assert p_column(n, m) == p_column(n, m, strategy="direct")
 
 

@@ -8,9 +8,9 @@ import sys
 import partita
 from partita import core, lists, oracle, series
 
-# The 44 public names of version 0.1.0.
+# The 42 public names of version 0.1.0.
 PUBLIC = [
-    "ALG1", "ALG2", "CLOSED_FORM", "COLUMN_POWER", "COLUMN_SCALE",
+    "ALG1", "ALG2", "CLOSED_FORM",
     "CacheFormatError", "DEFAULT_CROSSOVER", "DistinctSeries", "FAST_PATH",
     "INDEX_CEILING", "ORACLE_LIMIT", "OracleLimitError", "PartitionSeries",
     "StepEstimate", "__version__", "alg1_steps", "alg2_steps",

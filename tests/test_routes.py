@@ -114,13 +114,25 @@ def test_series_column_reads_the_series_and_direct_calls_nothing(calls):
 
 @pytest.mark.parametrize("m,series_route", [(30, False), (60, True)])
 def test_auto_column_takes_the_threshold_route(calls, m, series_route):
-    # COLUMN_SCALE * n**COLUMN_POWER, about 44.7 at n = 2000, sits
+    # the rule m*m < n puts the threshold at sqrt(2000), about 44.7,
     # between these m; only the series route reads the series
     n = 2000
     col = lists.p_column(n, m, series.PartitionSeries())
     assert calls["PartitionSeries.ensure"] == series_route
     assert calls["lists.causal_convolution"] == 0
     assert col[-1] == _alg1(n, m)
+
+
+@pytest.mark.parametrize("k", [2, 3, 10, 44, 45])
+def test_auto_column_boundary_is_m_squared_below_n(calls, k):
+    # at n = k*k, m = k is the first m with m*m >= n: auto reads the
+    # series there, and takes direct one m lower or one n higher
+    assert lists.p_column(k * k, k, series.PartitionSeries())[-1] == _alg1(k * k, k)
+    assert calls == Counter({"PartitionSeries.ensure": 1})
+    calls.clear()
+    lists.p_column(k * k, k - 1, series.PartitionSeries())
+    lists.p_column(k * k + 1, k, series.PartitionSeries())
+    assert calls == Counter()
 
 
 def test_no_route_convolves(calls):

@@ -494,6 +494,30 @@ def test_canonical_file_skips_the_per_line_walk(tmp_path, monkeypatch):
 
 
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit")
+def test_a_long_line_loads_without_the_walk_when_the_limit_is_off(tmp_path, monkeypatch):
+    # limit 0 switches the digit-limit scan off, so a 5000-digit line in
+    # a canonical file still takes the byte-scan path
+    lines = [b"PCACHE v1 50"] + [b"1"] * 50
+    lines[40] = b"7" * 5000
+    path = tmp_path / "long.cache"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    walked = []
+    walk = series_module._walk_lines
+    monkeypatch.setattr(series_module, "_walk_lines", lambda raw: walked.append(raw) or walk(raw))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        values = load_series(path).values
+        assert values[39] == int("7" * 5000)
+        for top in (0, 38, 39, 40, 50):
+            loaded, count = _read_cache(path, top)
+            assert (loaded.values, count) == (values[: top + 1], 50)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert walked == []
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit")
 @pytest.mark.parametrize("extra", [-DIGIT_LIMIT // 2 - 1, -DIGIT_LIMIT // 2, -1, 0])
 @pytest.mark.parametrize("line", [3, 40, 51])
 def test_long_lines_within_the_digit_limit_load(tmp_path, extra, line):
