@@ -118,22 +118,19 @@ def _sequence_output(args, kind, params, start, values):
 def _cmd_scalar(args):
     distinct = args.kind == "q"
     n, m, constant = args.n, args.m, args.crossover_constant
+    if distinct:
+        series._check_index(n)  # q_parts' own check, before the cache is read
     shifted = core._staircase(n, m) if distinct else n
-    # no route reads the P series past index shifted - m: the fast path
-    # and alg2 stop there, alg1, closed forms and the oracle read none
-    cache = _load_p_cache(args.cache, max(shifted - m, 0)) if args.cache else None
-    # the route of the P(n, m) that q_parts reads, decided before any
-    # counting so that a forced route is checked under --oracle too
-    route = core._route(shifted, m, constant, args.algorithm)
+    # P(shifted, m)'s plan comes before any read or count, --oracle included
+    route, top = core._plan(shifted, m, constant, args.algorithm)
+    cache = None if args.cache is None else _load_p_cache(args.cache, top)
     if args.oracle:
         route = "oracle"
         value = oracle.count_partitions(n, m, distinct=distinct)
     else:
         count = core.q_parts if distinct else core.p_parts
         value = count(n, m, cache, constant, args.algorithm)
-    plan = None
-    if args.explain:
-        plan = core.dispatch_plan(shifted, m, constant)._replace(chosen=route)
+    plan = core._estimate(shifted, m, route) if args.explain else None
     return _scalar_output(args, value, plan)
 
 

@@ -356,20 +356,32 @@ class StepEstimate(namedtuple("StepEstimate", "alg1 alg2 chosen")):
     __slots__ = ()
 
 
-def dispatch_plan(n: int, m: int, constant=DEFAULT_CROSSOVER) -> StepEstimate:
-    """Step models and dispatch choice for P(n, m), without computing it.
-
-    Outside 1 <= m <= n both models are reported as 0 (the answer there
-    is a constant).
-    """
+def _plan(n, m, constant, method):
+    """(route label, last P-series index it reads: n - m for alg2 and the
+    non-trivial fast path, 0 for a route that reads none) of P(n, m).
+    Checks what p_parts checks but the cache, then asks _route once."""
     _check_index(n, "n")
     _check_index(m, "m")
-    c = _as_fraction(constant)
-    if 1 <= m <= n:
-        s1, s2 = alg1_steps(n, m), alg2_steps(n, m)
-    else:
-        s1 = s2 = 0
-    return StepEstimate(s1, s2, _route(n, m, c))
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    # the default skips the Fraction check, which would cost the fast
+    # path about a third of its time
+    c = constant if constant is DEFAULT_CROSSOVER else _as_fraction(constant)
+    route = _route(n, m, c, method)
+    reads = route == ALG2 or (route == FAST_PATH and 0 < m < n)
+    return route, n - m if reads else 0
+
+
+def _estimate(n, m, route):
+    # both step models beside a route label
+    steps = (alg1_steps(n, m), alg2_steps(n, m)) if 1 <= m <= n else (0, 0)
+    return StepEstimate(*steps, route)
+
+
+def dispatch_plan(n: int, m: int, constant=DEFAULT_CROSSOVER) -> StepEstimate:
+    """Step models and dispatch choice for P(n, m), without computing it;
+    both models are 0 outside 1 <= m <= n, where the answer is a constant."""
+    return _estimate(n, m, _plan(n, m, constant, "auto")[0])
 
 
 def p_parts(
@@ -390,18 +402,9 @@ def p_parts(
     ``cache`` is a PartitionSeries, extended on demand, or None for the
     shared one; anything else raises ValueError when a route reads it.
     """
-    _check_index(n, "n")
-    _check_index(m, "m")
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    # the default skips the Fraction check, which would cost the fast
-    # path about a third of its time
-    c = constant if constant is DEFAULT_CROSSOVER else _as_fraction(constant)
-    route = _route(n, m, c, method)
+    route, top = _plan(n, m, constant, method)
     if route == FAST_PATH:
-        if m == 0 or n <= m:
-            return int(n == m)
-        return _p_values(cache, n - m)[n - m]
+        return _p_values(cache, top)[top] if top else int(n == m)
     if route == CLOSED_FORM:
         return p_parts_closed(n, m)
     if route == ALG1:

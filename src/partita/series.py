@@ -24,7 +24,7 @@ exact Python integers.
 
 A saved cache is read back with byte scans of the whole file, then
 int() only for the values the caller reads: ``load_series`` converts
-all of them, the CLI's counts only the prefix P(0..n - m) they use.
+all of them, a CLI count only the prefix its route reads.
 
 Thread contract: a cache may be shared across threads.  Reading the
 materialized prefix takes no lock, and an ``ensure`` that finds its

@@ -486,6 +486,36 @@ def test_scalar_rejects_q_cache(capsys, tmp_path):
     assert "P cache" in err
 
 
+@pytest.mark.parametrize("kind", ["p", "q"])
+def test_scalar_empty_cache_path_is_an_io_error(capsys, kind):
+    assert run(capsys, kind, "10", "3", "--cache", "") == (
+        2, "", "error: [Errno 2] No such file or directory: ''\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["p", "10", "30", "--algorithm", "closed"], "closed form requires m <= 6"),
+        (["p", str(2**62 + 1), "8"], "n exceeds the index ceiling 2**62"),
+        (["q", str(2**62 + 1), "8"], "n exceeds the index ceiling 2**62"),
+    ],
+    ids=["closed-m-30", "p-past-ceiling", "q-past-ceiling"],
+)
+def test_scalar_arguments_are_checked_before_the_cache(capsys, tmp_path, argv, message):
+    bad = tmp_path / "bad.cache"
+    bad.write_bytes(b"garbage\n")
+    assert run(capsys, *argv, "--cache", str(bad)) == (2, "", f"error: {message}\n")
+
+
+def test_closed_form_past_the_ceiling_names_the_ceiling(capsys):
+    # as p_parts does: the index is checked before the forced route
+    with pytest.raises(ValueError, match="index ceiling"):
+        partita.p_parts(2**62 + 1, 8, method="closed")
+    argv = ("p", str(2**62 + 1), "8", "--algorithm", "closed")
+    assert run(capsys, *argv) == (2, "", "error: n exceeds the index ceiling 2**62\n")
+
+
 def test_scalar_uses_cache_file(capsys, tmp_path):
     path = tmp_path / "p.cache"
     run(capsys, "cache", "save", str(path), "-n", "40")
@@ -509,8 +539,9 @@ def test_scalar_uses_cache_file(capsys, tmp_path):
 )
 @pytest.mark.parametrize("argv", [["p", "100", "60"], ["q", "100", "5"]])
 def test_scalar_cache_bad_line_beyond_the_read_prefix(capsys, tmp_path, text, argv):
-    # the count reads P(0..40) or P(0..85), lines 2..42 or 2..87; the file
-    # is still checked in full, so line 150 is named
+    # p 100 60 reads P(0..40), lines 2..42, and q 100 5 takes the closed
+    # form, which reads none; the file is still checked in full, so line
+    # 150 is named
     path = tmp_path / "p.cache"
     run(capsys, "cache", "save", str(path), "-n", "200")
     lines = path.read_bytes().split(b"\n")

@@ -1,0 +1,96 @@
+"""One plan per scalar call: ``core._plan`` names the route and the last
+P-series index it reads, the count reads exactly that far, and the CLI
+reads a ``--cache`` file no further.  Also pins the call chain a tracer
+relies on: the CLI counts through ``core.p_parts``/``core.q_parts``,
+``q_parts`` goes through ``p_parts``, and ``_route`` runs once per plan."""
+
+from collections import Counter
+
+import pytest
+
+from partita import cli, core, series
+
+
+@pytest.fixture
+def ensured(monkeypatch):
+    # every index passed to PartitionSeries.ensure, in call order
+    seen = []
+    ensure = series.PartitionSeries.ensure
+
+    def wrapper(self, n):
+        seen.append(n)
+        return ensure(self, n)
+
+    monkeypatch.setattr(series.PartitionSeries, "ensure", wrapper)
+    return seen
+
+
+def test_plan_index_is_what_the_count_reads(ensured):
+    cache = series.PartitionSeries()
+    for n in range(41):
+        for m in range(n + 3):
+            for method in core._METHODS:
+                try:
+                    route, top = core._plan(n, m, core.DEFAULT_CROSSOVER, method)
+                except ValueError:
+                    continue
+                ensured.clear()
+                core.p_parts(n, m, cache, method=method)
+                if ensured:
+                    assert top == max(ensured), (n, m, method, route)
+                else:
+                    assert top == 0, (n, m, method, route)
+
+
+@pytest.mark.parametrize(
+    "m,top",
+    [(20, 0), (3, 0), (250, 150)],
+    ids=["alg1", "closed-form", "fast-path"],
+)
+def test_cli_reads_the_cache_to_the_plans_index(capsys, monkeypatch, tmp_path, m, top):
+    path = tmp_path / "p.cache"
+    s = series.PartitionSeries()
+    s.ensure(200)
+    series.save_series(s, path)
+    tops = []
+    read = series._read_cache
+
+    def recording(path, top=None):
+        tops.append(top)
+        return read(path, top)
+
+    monkeypatch.setattr(series, "_read_cache", recording)
+    assert cli.main(["p", "400", str(m), "--cache", str(path)]) == 0
+    assert capsys.readouterr().out == f"{core.p_parts_alg1(400, m)}\n"
+    assert tops == [top]
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    seen = Counter()
+    for attr in ("p_parts", "q_parts", "_route"):
+        fn = getattr(core, attr)
+
+        def wrapper(*args, _attr=attr, _fn=fn, **kwargs):
+            seen[_attr] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(core, attr, wrapper)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv,counts",
+    [
+        (["q", "400", "20"], {"q_parts": 1, "p_parts": 1}),
+        (["q", "400", "20", "--explain"], {"q_parts": 1, "p_parts": 1}),
+        (["p", "400", "80"], {"p_parts": 1}),
+        (["p", "400", "80", "--explain"], {"p_parts": 1}),
+    ],
+    ids=["q", "q-explain", "p", "p-explain"],
+)
+def test_cli_counts_through_p_parts_and_plans_twice(capsys, traced, argv, counts):
+    # once in the CLI's plan, once in the plan of the p_parts it calls
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert traced == Counter({**counts, "_route": 2})
