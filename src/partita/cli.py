@@ -74,8 +74,8 @@ def _kind_of(s):
     return "p" if s.KIND == series.PartitionSeries.KIND else "q"
 
 
-def _load_p_cache(path, top):
-    loaded = series._read_cache(path, top)[0]
+def _load_p_cache(path, top, head):
+    loaded = series._read_cache(path, top, head)[0]
     if _kind_of(loaded) != "p":
         raise ValueError(f"{path} holds a Q series; scalar commands need a P cache")
     return loaded
@@ -122,8 +122,10 @@ def _cmd_scalar(args):
         series._check_index(n)  # q_parts' own check, before the cache is read
     shifted = core._staircase(n, m) if distinct else n
     # P(shifted, m)'s plan comes before any read or count, --oracle included
-    route, top = core._plan(shifted, m, constant, args.algorithm)
-    cache = None if args.cache is None else _load_p_cache(args.cache, top)
+    route, top, head = core._plan(shifted, m, constant, args.algorithm)
+    if args.oracle:
+        oracle._guard(n)  # the oracle limit, before the cache is read
+    cache = None if args.cache is None else _load_p_cache(args.cache, top, head)
     if args.oracle:
         route = "oracle"
         value = oracle.count_partitions(n, m, distinct=distinct)
@@ -286,9 +288,8 @@ def _cmd_cache_load(args):
 
 
 def _cmd_cache_info(args):
-    s = series.load_series(args.path)
-    checksum = series.series_checksum(s)
-    return f"kind: {_kind_of(s)}\nlength: {len(s.values)}\nsha256: {checksum}\n"
+    s, count, checksum = series._cache_checksum(args.path)
+    return f"kind: {_kind_of(s)}\nlength: {count}\nsha256: {checksum}\n"
 
 
 # ``partita list`` tables, in help order; the name is "<kind>-<shape>".

@@ -357,9 +357,11 @@ class StepEstimate(namedtuple("StepEstimate", "alg1 alg2 chosen")):
 
 
 def _plan(n, m, constant, method):
-    """(route label, last P-series index it reads: n - m for alg2 and the
-    non-trivial fast path, 0 for a route that reads none) of P(n, m).
-    Checks what p_parts checks but the cache, then asks _route once."""
+    """(route label, top, head) of P(n, m), whose count reads P(0..head - 1)
+    and P(top) of the series: top is n - m for alg2 and the non-trivial
+    fast path, head max(n - 2m, 0) for alg2 (what _expansion reads), and 0
+    where the route reads none.  Checks what p_parts checks but the cache,
+    then asks _route once."""
     _check_index(n, "n")
     _check_index(m, "m")
     if method not in _METHODS:
@@ -368,8 +370,9 @@ def _plan(n, m, constant, method):
     # path about a third of its time
     c = constant if constant is DEFAULT_CROSSOVER else _as_fraction(constant)
     route = _route(n, m, c, method)
-    reads = route == ALG2 or (route == FAST_PATH and 0 < m < n)
-    return route, n - m if reads else 0
+    if route == ALG2:
+        return route, n - m, max(n - 2 * m, 0)
+    return route, n - m if route == FAST_PATH and 0 < m < n else 0, 0
 
 
 def _estimate(n, m, route):
@@ -402,7 +405,7 @@ def p_parts(
     ``cache`` is a PartitionSeries, extended on demand, or None for the
     shared one; anything else raises ValueError when a route reads it.
     """
-    route, top = _plan(n, m, constant, method)
+    route, top, _ = _plan(n, m, constant, method)
     if route == FAST_PATH:
         return _p_values(cache, top)[top] if top else int(n == m)
     if route == CLOSED_FORM:

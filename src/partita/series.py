@@ -24,7 +24,8 @@ exact Python integers.
 
 A saved cache is read back with byte scans of the whole file, then
 int() only for the values the caller reads: ``load_series`` converts
-all of them, a CLI count only the prefix its route reads.
+all of them, a CLI count only those its plan reads (None between), and
+``cache info`` one when the file is already the canonical form.
 
 Thread contract: a cache may be shared across threads.  Reading the
 materialized prefix takes no lock, and an ``ensure`` that finds its
@@ -39,6 +40,8 @@ import os
 import re
 import sys
 import threading
+from io import BytesIO
+from itertools import islice
 from math import isqrt
 
 __all__ = [
@@ -280,15 +283,15 @@ def _is_canonical(raw, start, count):
     writes them: ``count`` nonempty lines of ASCII digits, each
     newline-terminated and within the digit limit.  Byte scans of raw in
     place: a copy of a large file costs more than a scan of it."""
-    if str(raw.count(b"\n", start)) != count or not raw.endswith(b"\n"):
+    # deleting the digits must leave the header's own bytes, then exactly
+    # `count` newlines: the line count and the stray-byte scan in one pass
+    kept = raw.translate(None, b"0123456789")
+    lines = len(kept) - len(raw[:start].translate(None, b"0123456789"))
+    if str(lines) != count or not kept.endswith(b"\n" * lines):
         return False
     # from start - 1 this also finds an empty first line; a backward
     # search for b"\n\n" runs about twice as fast as a forward one
-    if raw.rfind(b"\n\n", start - 1) >= 0:
-        return False
-    # deleting digits and newlines must leave the header's letters alone
-    value_bytes = b"0123456789\n"
-    if raw.translate(None, value_bytes) != raw[:start].translate(None, value_bytes):
+    if not raw.endswith(b"\n") or raw.rfind(b"\n\n", start - 1) >= 0:
         return False
     # the int-string digit limit, read per call since it can be reset; 0
     # (or an interpreter that predates it) means none
@@ -336,32 +339,60 @@ def _walk_lines(raw):
     return match.group(1), values
 
 
-def _read_cache(path, top=None):
-    """(series holding values 0..top, or all of them for None; the file's
-    value count).  A file in save_series' exact form gets byte scans of
-    the whole file, then int() on lines 0..top alone; any other file takes
-    the per-line walk.  Either way the file is checked in full and the
-    same CacheFormatError names the same first bad line."""
-    with open(os.fspath(path), "rb") as f:
-        raw = f.read()
+def _parse_cache(raw, top, head):
+    # (series class, values, value count) of a file's bytes, checked in
+    # full; values as _read_cache returns them, but all from the walk
     start = raw.find(b"\n") + 1
     # latin-1 decodes any byte; the pattern matches ASCII only
     match = start and _HEADER_RE.match(raw[: start - 1].decode("latin-1"))
     if match and _is_canonical(raw, start, match.group(2)):
         kind, count = match.group(1), int(match.group(2))
-        stop = count if top is None else min(top + 1, count)
-        # the header, lines 0..stop - 1 and the unconverted rest
-        values = list(map(int, raw.split(b"\n", stop + 1)[1 : stop + 1]))
+        if top is None or top >= count:  # ensure grows from every value
+            top, head = count - 1, count
+        head = top + 1 if head is None else max(head, 1)  # P(0) is checked below
+        # BytesIO shares raw's buffer: the lines are never copied as a whole
+        lines = islice(BytesIO(raw), 1, None)
+        values = list(map(int, islice(lines, head)))
+        if head <= top:
+            values += [None] * (top - head)
+            values.append(int(next(islice(lines, top - head, None))))
     else:
         kind, values = _walk_lines(raw)
         count = len(values)
-        if top is not None:
-            del values[top + 1 :]
     # every line has passed by now, so this error comes last on both paths
     if values and values[0] != 1:
         raise CacheFormatError(2, "first value must be 1")
     cls = PartitionSeries if kind == PartitionSeries.KIND else DistinctSeries
+    return cls, values, count
+
+
+def _read_cache(path, top=None, head=None):
+    """(series holding values 0..top, or all of them for None; the file's
+    value count).  The whole file is checked, and the same CacheFormatError
+    names the same first bad line.  A file in save_series' form then gets
+    int() only on the values returned; with ``head``, only on 0..head - 1
+    and top, None between, for a count whose plan (core._plan) reads no
+    more, unless the file ends before top.  Any other file takes the
+    per-line walk."""
+    # fspath refuses an int, which open() would take as a descriptor
+    with open(os.fspath(path), "rb") as f:
+        cls, values, count = _parse_cache(f.read(), top, head)
+    if top is not None:
+        del values[top + 1 :]
     return cls(values=values), count
+
+
+def _cache_checksum(path):
+    """(series, value count, series_checksum of every value) of a cache
+    file checked in full; a file in save_series' form with no leading
+    zero is that form already, so its bytes are hashed as read."""
+    with open(os.fspath(path), "rb") as f:
+        raw = f.read()
+    top = None if re.search(rb"\n0[0-9]", raw) else 0
+    cls, values, count = _parse_cache(raw, top, top)
+    s = cls(values=values)  # fewer values than count: that form, read at top 0
+    digest = hashlib.sha256(raw if len(values) < count else serialize_series(s))
+    return s, count, digest.hexdigest()
 
 
 def load_series(path):

@@ -2,6 +2,7 @@
 codes, and the cache subcommands.  Most tests drive main() in-process;
 a couple go through a real subprocess to cover the entry points."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import partita
-from partita import cli
+from partita import cli, core
 from partita.cli import main
 
 
@@ -499,8 +500,10 @@ def test_scalar_empty_cache_path_is_an_io_error(capsys, kind):
         (["p", "10", "30", "--algorithm", "closed"], "closed form requires m <= 6"),
         (["p", str(2**62 + 1), "8"], "n exceeds the index ceiling 2**62"),
         (["q", str(2**62 + 1), "8"], "n exceeds the index ceiling 2**62"),
+        (["p", "100", "3", "--oracle"], "n=100 exceeds the oracle limit of 80"),
+        (["q", "100", "3", "--oracle"], "n=100 exceeds the oracle limit of 80"),
     ],
-    ids=["closed-m-30", "p-past-ceiling", "q-past-ceiling"],
+    ids=["closed-m-30", "p-past-ceiling", "q-past-ceiling", "p-oracle", "q-oracle"],
 )
 def test_scalar_arguments_are_checked_before_the_cache(capsys, tmp_path, argv, message):
     bad = tmp_path / "bad.cache"
@@ -552,6 +555,105 @@ def test_scalar_cache_bad_line_beyond_the_read_prefix(capsys, tmp_path, text, ar
     else:
         message = f"not a decimal value: {text.decode()!r}"
     assert run(capsys, *argv, "--cache", str(path)) == (3, "", f"error: line 150: {message}\n")
+
+
+def test_cached_counts_match_uncached_on_both_sides_of_the_file(capsys, tmp_path):
+    # a file of P(0..15): every --algorithm, p and q, with the plan's top
+    # below, at and beyond the last value, trivial and staircase cases
+    # included; a count that read an unconverted line would raise
+    last = 15
+    path = tmp_path / "p.cache"
+    run(capsys, "cache", "save", str(path), "-n", str(last))
+    points = [("p", n, m) for n in range(2 * last + 8) for m in range(n + 2)]
+    for m in range(last + 4):
+        stair = m * (m - 1) // 2
+        points += [("q", stair + shifted, m) for shifted in range(2 * last + 8)]
+        points += [("q", stair - 1, m)] if stair else []
+    seen = set()
+    for kind, n, m in points:
+        shifted = core._staircase(n, m) if kind == "q" else n
+        for method in core._METHODS:
+            argv = (kind, str(n), str(m), "--algorithm", method)
+            expected = run(capsys, *argv)
+            assert run(capsys, *argv, "--cache", str(path)) == expected, argv
+            if expected[0] == 0:
+                route, top, _ = core._plan(shifted, m, core.DEFAULT_CROSSOVER, method)
+                side = "trivial" if m == 0 or shifted <= m else (top > last) - (top < last)
+                seen.add((kind, route, side))
+    for kind in ("p", "q"):
+        for route in (core.ALG2, core.FAST_PATH):
+            assert {(kind, route, side) for side in (-1, 0, 1)} <= seen
+        assert (kind, core.FAST_PATH, "trivial") in seen
+
+
+def test_first_value_is_checked_when_the_route_reads_one_other(capsys, tmp_path):
+    # p 5000 2600 takes the fast path, which converts P(2400) alone
+    path = tmp_path / "p.cache"
+    run(capsys, "cache", "save", str(path), "-n", "3000")
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"2"
+    path.write_bytes(b"\n".join(lines))
+    assert run(capsys, "p", "5000", "2600", "--cache", str(path)) == (
+        3, "", "error: line 2: first value must be 1\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        lambda raw: raw,
+        lambda raw: raw.replace(b"\n1\n", b"\n01\n", 1),
+        lambda raw: raw.replace(b"\n", b"\r\n"),
+        lambda raw: raw[:-1],
+    ],
+    ids=["canonical", "leading-zero", "crlf", "no-final-newline"],
+)
+def test_cache_info_digest_is_the_canonical_forms(capsys, tmp_path, monkeypatch, variant):
+    canonical = tmp_path / "p.cache"
+    run(capsys, "cache", "save", str(canonical), "-n", "300")
+    digest = partita.series_checksum(partita.load_series(canonical))
+    assert digest == hashlib.sha256(canonical.read_bytes()).hexdigest()
+    path = tmp_path / "variant.cache"
+    path.write_bytes(variant(canonical.read_bytes()))
+    serialized = []
+    serialize = partita.series.serialize_series
+    monkeypatch.setattr(
+        partita.series, "serialize_series", lambda s: serialized.append(s) or serialize(s)
+    )
+    assert run(capsys, "cache", "info", str(path)) == (
+        0, f"kind: p\nlength: 301\nsha256: {digest}\n", ""
+    )
+    # only a file that is its own canonical form is hashed as read
+    assert len(serialized) == (path.read_bytes() != canonical.read_bytes())
+
+
+def test_whole_file_reads_hold_no_unconverted_value(capsys, tmp_path, monkeypatch):
+    # only a p/q count gets a series with holes; each of these converts
+    # every value it returns
+    path = tmp_path / "p.cache"
+    run(capsys, "cache", "save", str(path), "-n", "60")
+    variants = {"canonical": path.read_bytes()}
+    variants["crlf"] = variants["canonical"].replace(b"\n", b"\r\n")
+    variants["leading-zero"] = variants["canonical"].replace(b"\n2\n", b"\n02\n", 1)
+    returned = []
+    for name in ("_read_cache", "_cache_checksum"):
+
+        def recording(*args, _fn=getattr(partita.series, name)):
+            result = _fn(*args)
+            returned.append(result[0])
+            return result
+
+        monkeypatch.setattr(partita.series, name, recording)
+    for raw in variants.values():
+        path.write_bytes(raw)
+        assert run(capsys, "cache", "load", str(path))[0] == 0
+        assert run(capsys, "cache", "info", str(path))[0] == 0
+        partita.load_series(path)
+        for top in (0, 1, 30, 59, 60, 61, 200):
+            partita.series._read_cache(path, top)
+    assert len(returned) == 3 * 10  # every read above passed the recorder
+    for s in returned:
+        assert None not in s.values
 
 
 def test_scalar_crlf_cache_counts_as_the_canonical_one(capsys, tmp_path):

@@ -1,6 +1,6 @@
-"""One plan per scalar call: ``core._plan`` names the route and the last
-P-series index it reads, the count reads exactly that far, and the CLI
-reads a ``--cache`` file no further.  Also pins the call chain a tracer
+"""One plan per scalar call: ``core._plan`` names the route and the
+P-series values it reads, P(0..head - 1) and P(top), the count reads
+exactly those, and the CLI converts no others from a ``--cache`` file.  Also pins the call chain a tracer
 relies on: the CLI counts through ``core.p_parts``/``core.q_parts``,
 ``q_parts`` goes through ``p_parts``, and ``_route`` runs once per plan."""
 
@@ -27,27 +27,40 @@ def ensured(monkeypatch):
 
 def test_plan_index_is_what_the_count_reads(ensured):
     cache = series.PartitionSeries()
+    full = series.PartitionSeries()
+    full.ensure(40)
     for n in range(41):
         for m in range(n + 3):
             for method in core._METHODS:
                 try:
-                    route, top = core._plan(n, m, core.DEFAULT_CROSSOVER, method)
+                    route, top, head = core._plan(n, m, core.DEFAULT_CROSSOVER, method)
                 except ValueError:
                     continue
                 ensured.clear()
-                core.p_parts(n, m, cache, method=method)
+                value = core.p_parts(n, m, cache, method=method)
                 if ensured:
                     assert top == max(ensured), (n, m, method, route)
                 else:
                     assert top == 0, (n, m, method, route)
+                # a read of any None, P(head..top - 1), raises TypeError
+                holes = full.values[:head] + [None] * (top - head) + [full.values[top]]
+                held = series.PartitionSeries(values=holes)
+                assert core.p_parts(n, m, held, method=method) == value, (n, m, method)
+                if head:  # and P(head - 1) is read
+                    holes[head - 1] = None
+                    with pytest.raises(TypeError):
+                        core.p_parts(n, m, held, method=method)
 
 
 @pytest.mark.parametrize(
-    "m,top",
-    [(20, 0), (3, 0), (250, 150)],
-    ids=["alg1", "closed-form", "fast-path"],
+    "n,m,top,head",
+    [(400, 20, 0, 0), (400, 3, 0, 0), (400, 250, 150, 0), (250, 60, 190, 130),
+     (400, 100, 300, 200)],
+    ids=["alg1", "closed-form", "fast-path", "alg2", "alg2-past-the-file"],
 )
-def test_cli_reads_the_cache_to_the_plans_index(capsys, monkeypatch, tmp_path, m, top):
+def test_cli_reads_the_cache_to_the_plans_index(
+    capsys, monkeypatch, tmp_path, n, m, top, head
+):
     path = tmp_path / "p.cache"
     s = series.PartitionSeries()
     s.ensure(200)
@@ -55,14 +68,14 @@ def test_cli_reads_the_cache_to_the_plans_index(capsys, monkeypatch, tmp_path, m
     tops = []
     read = series._read_cache
 
-    def recording(path, top=None):
-        tops.append(top)
-        return read(path, top)
+    def recording(path, top=None, head=None):
+        tops.append((top, head))
+        return read(path, top, head)
 
     monkeypatch.setattr(series, "_read_cache", recording)
-    assert cli.main(["p", "400", str(m), "--cache", str(path)]) == 0
-    assert capsys.readouterr().out == f"{core.p_parts_alg1(400, m)}\n"
-    assert tops == [top]
+    assert cli.main(["p", str(n), str(m), "--cache", str(path)]) == 0
+    assert capsys.readouterr().out == f"{core.p_parts_alg1(n, m)}\n"
+    assert tops == [(top, head)]
 
 
 @pytest.fixture
