@@ -22,10 +22,10 @@ Extension always restarts at the first missing index, so a cache only
 ever grows and existing entries are never rewritten.  All values are
 exact Python integers.
 
-A saved cache is read back with byte scans of the whole file, then
-int() only for the values the caller reads: ``load_series`` converts
-all of them, a CLI count only those its plan reads (None between), and
-``cache info`` one when the file is already the canonical form.
+A saved cache is read one way: a file not in save_series' layout is
+first walked line by line into it, leading zeros dropped; then int()
+runs only on the values the caller reads, and ``cache info`` hashes the
+laid-out bytes.
 
 Thread contract: a cache may be shared across threads.  Reading the
 materialized prefix takes no lock, and an ``ensure`` that finds its
@@ -279,9 +279,9 @@ def save_series(series, path):
 
 
 def _is_canonical(raw, start, count):
-    """True when raw[start:], the value lines, is exactly as save_series
-    writes them: ``count`` nonempty lines of ASCII digits, each
-    newline-terminated and within the digit limit.  Byte scans of raw in
+    """True when raw[start:], the value lines, is in save_series' layout:
+    ``count`` nonempty lines of ASCII digits, each newline-terminated and
+    within the digit limit, leading zeros allowed.  Byte scans of raw in
     place: a copy of a large file costs more than a scan of it."""
     # deleting the digits must leave the header's own bytes, then exactly
     # `count` newlines: the line count and the stray-byte scan in one pass
@@ -306,8 +306,9 @@ def _is_canonical(raw, start, count):
 
 
 def _walk_lines(raw):
-    # every other file: decode, split and convert line by line, naming
-    # the first bad line; returns the header's kind and all the values
+    # decode, split and check a file line by line, naming the first bad
+    # line; returns the header match and the file laid out as save_series
+    # writes it, leading zeros dropped
     try:
         text = raw.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -327,85 +328,83 @@ def _walk_lines(raw):
         raise CacheFormatError(
             len(lines), f"header promises {count} values, file has {len(lines) - 1}"
         )
-    values = []
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.isdigit():  # unlike int(), takes ASCII digits only
             raise CacheFormatError(lineno, f"not a decimal value: {line!r}")
-        try:
-            values.append(int(line))
-        except ValueError as exc:  # over the interpreter's int-string digit limit
-            message = f"{len(line)}-digit value exceeds the interpreter's limit"
-            raise CacheFormatError(lineno, message) from exc
-    return match.group(1), values
+        # int() refuses a digit line exactly when it is longer than the
+        # limit, leading zeros included; its error is kept as the cause
+        if 0 < limit < len(line):
+            try:
+                int(line)
+            except ValueError as exc:
+                message = f"{len(line)}-digit value exceeds the interpreter's limit"
+                raise CacheFormatError(lineno, message) from exc
+        lines[lineno - 1] = line.lstrip("0") or "0"
+    lines.append("")
+    return match, "\n".join(lines).encode("ascii")
 
 
 def _parse_cache(raw, top, head):
-    # (series class, values, value count) of a file's bytes, checked in
-    # full; values as _read_cache returns them, but all from the walk
+    # (series holding values as _read_cache returns them, value count, the
+    # file's bytes in save_series' layout), checked in full
     start = raw.find(b"\n") + 1
     # latin-1 decodes any byte; the pattern matches ASCII only
     match = start and _HEADER_RE.match(raw[: start - 1].decode("latin-1"))
-    if match and _is_canonical(raw, start, match.group(2)):
-        kind, count = match.group(1), int(match.group(2))
-        if top is None or top >= count:  # ensure grows from every value
-            top, head = count - 1, count
-        head = top + 1 if head is None else max(head, 1)  # P(0) is checked below
-        # BytesIO shares raw's buffer: the lines are never copied as a whole
-        lines = islice(BytesIO(raw), 1, None)
-        values = list(map(int, islice(lines, head)))
-        if head <= top:
-            values += [None] * (top - head)
-            values.append(int(next(islice(lines, top - head, None))))
-    else:
-        kind, values = _walk_lines(raw)
-        count = len(values)
-    # every line has passed by now, so this error comes last on both paths
+    if not (match and _is_canonical(raw, start, match.group(2))):
+        match, raw = _walk_lines(raw)
+    kind, count = match.group(1), int(match.group(2))
+    if top is None or top >= count:  # ensure grows from every value
+        top, head = count - 1, count
+    head = top + 1 if head is None else max(head, 1)  # P(0) is checked below
+    # BytesIO shares raw's buffer: the lines are never copied as a whole
+    lines = islice(BytesIO(raw), 1, None)
+    values = list(map(int, islice(lines, head)))
+    if head <= top:
+        values += [None] * (top - head)
+        values.append(int(next(islice(lines, top - head, None))))
+    # every line has passed by now, so this error comes last
     if values and values[0] != 1:
         raise CacheFormatError(2, "first value must be 1")
     cls = PartitionSeries if kind == PartitionSeries.KIND else DistinctSeries
-    return cls, values, count
+    return cls(values=values), count, raw
 
 
 def _read_cache(path, top=None, head=None):
     """(series holding values 0..top, or all of them for None; the file's
     value count).  The whole file is checked, and the same CacheFormatError
-    names the same first bad line.  A file in save_series' form then gets
-    int() only on the values returned; with ``head``, only on 0..head - 1
-    and top, None between, for a count whose plan (core._plan) reads no
-    more, unless the file ends before top.  Any other file takes the
-    per-line walk."""
+    names the same first bad line.  A file not in save_series' layout is
+    first walked into it; then int() runs only on the values returned:
+    with ``head``, only on 0..head - 1 and top, None between, for a count
+    whose plan (core._plan) reads no more, unless the file ends before
+    top."""
     # fspath refuses an int, which open() would take as a descriptor
     with open(os.fspath(path), "rb") as f:
-        cls, values, count = _parse_cache(f.read(), top, head)
-    if top is not None:
-        del values[top + 1 :]
-    return cls(values=values), count
+        return _parse_cache(f.read(), top, head)[:2]
 
 
 def _cache_checksum(path):
     """(series, value count, series_checksum of every value) of a cache
-    file checked in full; a file in save_series' form with no leading
-    zero is that form already, so its bytes are hashed as read."""
+    file checked in full: the SHA-256 of its bytes in save_series' layout,
+    which is save_series' form once leading zeros are dropped."""
     with open(os.fspath(path), "rb") as f:
         raw = f.read()
-    top = None if re.search(rb"\n0[0-9]", raw) else 0
-    cls, values, count = _parse_cache(raw, top, top)
-    s = cls(values=values)  # fewer values than count: that form, read at top 0
-    digest = hashlib.sha256(raw if len(values) < count else serialize_series(s))
-    return s, count, digest.hexdigest()
+    if re.search(rb"\n0[0-9]", raw):  # a leading zero, which the layout allows
+        raw = _walk_lines(raw)[1]
+    s, count, raw = _parse_cache(raw, 0, 0)
+    return s, count, hashlib.sha256(raw).hexdigest()
 
 
 def load_series(path):
-    """Read a cache file back: byte scans of the whole file, then one
-    int() per value.
+    """Read a cache file back: a file not in save_series' layout is
+    first walked line by line into it, then one int() per value.
 
     Returns a PartitionSeries or DistinctSeries as the header says, or
     raises CacheFormatError naming the first bad line: non-ASCII bytes, a
     bad header or count, a value line of anything but ASCII digits (a sign,
     underscore or space), a value past the interpreter's int-string digit
     limit, or a first value other than 1.  A missing final newline, CRLF
-    or other ``str.splitlines`` endings and leading zeros are accepted; a
-    file not laid out as save_series writes it takes a slower per-line walk.
+    or other ``str.splitlines`` endings and leading zeros are accepted.
     """
     return _read_cache(path)[0]
 

@@ -27,7 +27,7 @@ from partita import (
     shared_p_series,
     shared_q_series,
 )
-from partita import series as series_module
+from partita import core, series as series_module
 from partita.series import _read_cache
 
 P_PREFIX = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
@@ -491,6 +491,38 @@ def test_canonical_file_skips_the_per_line_walk(tmp_path, monkeypatch):
     assert (loaded.values, count, walked) == (P_PREFIX[:4], len(P_PREFIX), [])
     loaded, count = _read_cache(crlf, 3)
     assert (loaded.values, count, len(walked)) == (P_PREFIX[:4], len(P_PREFIX), 1)
+
+
+def test_walked_twins_read_the_values_of_the_canonical_file(tmp_path):
+    # a file walked into save_series' layout is converted as the canonical
+    # file is: the same values, None holes included, at each plan's reads
+    path = tmp_path / "p.cache"
+    s = PartitionSeries()
+    s.ensure(300)
+    save_series(s, path)
+    raw = path.read_bytes()
+    twins = {
+        "crlf": raw.replace(b"\n", b"\r\n"),
+        "lone-cr": raw.replace(b"\n", b"\r"),
+        "vt": raw.replace(b"\n", b"\x0b"),
+        "no-final-newline": raw[:-1],
+        "leading-zero": raw.replace(b"\n5\n", b"\n005\n", 1),
+    }
+    for name, twin in twins.items():
+        (tmp_path / f"{name}.cache").write_bytes(twin)
+    # alg2, fast path, closed form, and a fast path past the file's end
+    points = ((300, 80), (300, 160), (300, 3), (1000, 600))
+    plans = [core._plan(n, m, core.DEFAULT_CROSSOVER, "auto") for n, m in points]
+    routes = [core.ALG2, core.FAST_PATH, core.CLOSED_FORM, core.FAST_PATH]
+    assert [route for route, _, _ in plans] == routes
+    assert plans[-1][1] > 300
+    for _, top, head in plans:
+        expected, count = _read_cache(path, top, head)
+        assert len(expected.values) == min(top, 300) + 1
+        assert (None in expected.values) == (0 < top <= 300)
+        for name in twins:
+            loaded, twin_count = _read_cache(tmp_path / f"{name}.cache", top, head)
+            assert (loaded.values, twin_count) == (expected.values, count), (name, top)
 
 
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit")
