@@ -12,20 +12,21 @@ suite cross-validates against each other:
   (default) is self-contained, combining tripled square lags with an
   indicator of the generalized pentagonal numbers.
 
-Two kernels hold the lag sums: ``_pentagonal_sum`` (euler P at the
-lags k(3k - 1)/2 and k(3k + 1)/2, ewell Q at twice those) and
-``_square_sum`` (ewell P at 2k^2, merca Q at 3k^2).  Each cross-checked
-pair, euler against ewell for P and merca against ewell for Q, sets one
-kernel against the other.
+Two kernels hold the lag sums: ``_pentagonal_sum`` walks euler P's lags
+k(3k -+ 1)/2 and ewell Q's twice those entry by entry, and
+``_extend_square`` builds ewell P (lags 2k^2) and merca Q (3k^2) in
+blocks, each lag reaching below a block one list slice.  Each
+cross-checked pair, euler against ewell for P and merca against ewell for
+Q, sets one kernel against the other.
 
 Extension always restarts at the first missing index, so a cache only
 ever grows and existing entries are never rewritten.  All values are
 exact Python integers.
 
-A saved cache is read one way: a file not in save_series' layout is
-first walked line by line into it, leading zeros dropped; then int()
-runs only on the values the caller reads, and ``cache info`` hashes the
-laid-out bytes.
+A saved cache is read one way: a file in neither save_series' layout nor
+that layout with CRLF endings is first walked line by line into it, leading
+zeros dropped; then int() runs only on the values the caller reads, and
+``cache info`` hashes the laid-out bytes.
 
 Thread contract: a cache may be shared across threads.  Reading the
 materialized prefix takes no lock, and an ``ensure`` that finds its
@@ -70,25 +71,18 @@ def _check_index(value, name="n"):
         raise ValueError(f"{name} exceeds the index ceiling 2**62")
 
 
-def _is_gp(n):
+def is_generalized_pentagonal(n: int) -> bool:
+    """True when n = k(3k +- 1)/2 for some k >= 0 (0, 1, 2, 5, 7, 12, ...)."""
+    _check_index(n)
     # generalized pentagonal <=> 24n + 1 is a square with root = +-1 mod 6
     x = 24 * n + 1
     r = isqrt(x)
     return r * r == x and r % 6 in (1, 5)
 
 
-def is_generalized_pentagonal(n: int) -> bool:
-    """True when n = k(3k +- 1)/2 for some k >= 0 (0, 1, 2, 5, 7, 12, ...)."""
-    _check_index(n)
-    return _is_gp(n)
-
-
-# Start offsets for the triangular-lag scan in the Ewell P recurrence,
-# selected by n mod 4.  The lag k(k+1)/2 mod 4 repeats with period 8 in k
-# as {0, 1, 3, 2, 2, 3, 1, 0}, so each residue is hit by exactly two k
-# values per period; advancing k by 8 keeps the residue fixed.
-_TRI_START_A = (0, 1, 3, 2)
-_TRI_START_B = (7, 6, 4, 5)
+# Widths of the square-lag kernel's blocks and sub-blocks; blocks of 1024
+# measured faster than 64, 256 and 4096.
+_BLOCK, _SUB_BLOCK = 1024, 128
 
 
 def _alternating_sum(v, arg, step, grow):
@@ -117,37 +111,10 @@ def _pentagonal_sum(v, i, s):
     )
 
 
-def _square_sum(v, i, s):
-    # 2 sum_{k>=1} (-1)^(k+1) v[i - s*k^2]; the lags k^2 grow by 2k + 1
-    return 2 * _alternating_sum(v, i - s, 3 * s, 2 * s)
-
-
 def _extend_p_euler(values, n):
     # P(i) = sum_{k>=1} (-1)^(k+1) [P(i - k(3k-1)/2) + P(i - k(3k+1)/2)]
     for i in range(len(values), n + 1):
         values.append(_pentagonal_sum(values, i, 1))
-
-
-def _extend_p_ewell(values, n):
-    # P(i) = sum over k with 4 | (i - k(k+1)/2) of P((i - k(k+1)/2)/4)
-    #        - 2 sum_{k>=1} (-1)^k P(i - 2k^2)
-    # The first sum walks only the qualifying k, two per period of 8: the
-    # shifted index drops by 2k + 9 between consecutive hits, with k read
-    # before the divide-by-four, so the decrement itself grows by 16.
-    for i in range(len(values), n + 1):
-        total = _square_sum(values, i, 2)
-        r = i & 3
-        for start in (_TRI_START_A[r], _TRI_START_B[r]):
-            arg = i - start * (start + 1) // 2
-            if arg < 0:
-                continue
-            arg //= 4  # exact by choice of start
-            dec = 2 * start + 9
-            while arg >= 0:
-                total += values[arg]
-                arg -= dec
-                dec += 16
-        values.append(total)
 
 
 def _extend_q_ewell(values, pv, n):
@@ -156,10 +123,72 @@ def _extend_q_ewell(values, pv, n):
         values.append(pv[i] - _pentagonal_sum(pv, i, 2))
 
 
-def _extend_q_merca(values, n):
-    # Q(i) = s(i) - 2 sum_{k>=1} (-1)^k Q(i - 3k^2), s = pentagonal indicator
-    for i in range(len(values), n + 1):
-        values.append((1 if _is_gp(i) else 0) + _square_sum(values, i, 3))
+def _lag_sums(v, start, stop, lags):
+    # [sum of v[j - lag] over lags for j in range(start, stop)], reading 0
+    # at a negative index; every other v[j - lag] must already exist.  One
+    # slice per lag, summed per entry: `sum` over `zip` beats `map(add)`
+    slices = []
+    for lag in lags:
+        if lag <= start:
+            slices.append(v[start - lag : stop - lag])
+        elif lag < stop:
+            slices.append([0] * (lag - start) + v[: stop - lag])
+    return list(map(sum, zip(*slices))) or [0] * (stop - start)
+
+
+def _square_sums(v, start, stop, c, low, high):
+    # [odd, even]: per i in range(start, stop), the sums of v[i - c*k^2]
+    # over the odd and the even k with low <= c*k^2 < high
+    lags = [c * k * k for k in range(1, isqrt((high - 1) // c) + 1)]
+    return [_lag_sums(v, start, stop, [g for g in lags[r::2] if g >= low]) for r in (0, 1)]
+
+
+def _extend_square(values, n, c, base):
+    # values[i] = base[i] + 2 sum_{k>=1} (-1)^(k+1) values[i - c*k^2] up to
+    # n, with base(values, s, e) = base[s:e].  A block [s, e) is no wider
+    # than s, so each lag of at least its width w reads finished entries
+    # only and is one slice for the whole block; sub-blocks of width v do
+    # the same for the lags in [v, w), and the lags below v go per entry.
+    s = len(values)
+    while s <= n:
+        w = min(_BLOCK, s, n + 1 - s)
+        e = s + w
+        odd, even = _square_sums(values, s, e, c, w, e)
+        block = [b + 2 * (x - y) for b, x, y in zip(base(values, s, e), odd, even)]
+        v = min(_SUB_BLOCK, w)
+        lags = [-c * k * k for k in range(1, isqrt((v - 1) // c) + 1)]
+        odd_lags, even_lags = lags[::2], lags[1::2]
+        for t in range(s, e, v):
+            sums = _square_sums(values, t, min(t + v, e), c, v, w)
+            for a, odd, even in zip(block[t - s : t - s + v], *sums):
+                # len(values) == i here, so values[-c*k*k] is values[i - c*k*k]
+                for lag in odd_lags:
+                    odd += values[lag]
+                for lag in even_lags:
+                    even += values[lag]
+                values.append(a + 2 * (odd - even))
+        s = e
+
+
+def _ewell_triangular(values, s, e):
+    # Ewell: P(i) = sum over k >= 0 with 4 | i - k(k+1)/2 of
+    # P((i - k(k+1)/2)/4) - 2 sum_{k>=1} (-1)^k P(i - 2k^2).  The first sum,
+    # for i in range(s, e), per residue r of i mod 4: in quarter indices
+    # j = (i - r)/4 it is a lag sum at the lags (T - r)/4, T = r mod 4
+    tri = [k * (k + 1) // 2 for k in range(isqrt(2 * e) + 1)]
+    base = [0] * (e - s)
+    for r in range(4):
+        first = s + (r - s) % 4
+        lags = [(t - r) // 4 for t in tri if t % 4 == r and t < e]
+        base[first - s :: 4] = _lag_sums(values, first // 4, (e + 3 - r) // 4, lags)
+    return base
+
+
+def _pentagonal_indicator(values, s, e):
+    # Merca: Q(i) = s(i) - 2 sum_{k>=1} (-1)^k Q(i - 3k^2), s(i) being 1 at
+    # the generalized pentagonal numbers k(3k -+ 1)/2, else 0; here s(s..e-1)
+    gp = {k * (3 * k + d) // 2 for k in range(isqrt(2 * e // 3) + 2) for d in (-1, 1)}
+    return [1 if i in gp else 0 for i in range(s, e)]
 
 
 class _Series:
@@ -221,7 +250,7 @@ class PartitionSeries(_Series):
         if self.algorithm == "euler":
             _extend_p_euler(self.values, n)
         else:
-            _extend_p_ewell(self.values, n)
+            _extend_square(self.values, n, 2, _ewell_triangular)
 
 
 class DistinctSeries(_Series):
@@ -244,7 +273,7 @@ class DistinctSeries(_Series):
         if self.algorithm == "ewell":
             _extend_q_ewell(self.values, _p_values(self.p_series, n), n)
         else:
-            _extend_q_merca(self.values, n)
+            _extend_square(self.values, n, 3, _pentagonal_indicator)
 
 
 class CacheFormatError(ValueError):
@@ -278,31 +307,38 @@ def save_series(series, path):
         f.write(serialize_series(series))
 
 
-def _is_canonical(raw, start, count):
-    """True when raw[start:], the value lines, is in save_series' layout:
-    ``count`` nonempty lines of ASCII digits, each newline-terminated and
-    within the digit limit, leading zeros allowed.  Byte scans of raw in
-    place: a copy of a large file costs more than a scan of it."""
+def _canonical_header(raw):
+    """The header match when raw is in save_series' layout, else None: a
+    header line, then as many nonempty lines of ASCII digits as it counts,
+    each newline-terminated and within the digit limit, leading zeros allowed.
+    Byte scans of raw in place: a copy of a large file costs more than a
+    scan of it."""
+    start = raw.find(b"\n") + 1
+    # latin-1 decodes any byte; the pattern matches ASCII only
+    match = start and _HEADER_RE.match(raw[: start - 1].decode("latin-1"))
+    if not match:
+        return None
     # deleting the digits must leave the header's own bytes, then exactly
     # `count` newlines: the line count and the stray-byte scan in one pass
     kept = raw.translate(None, b"0123456789")
     lines = len(kept) - len(raw[:start].translate(None, b"0123456789"))
-    if str(lines) != count or not kept.endswith(b"\n" * lines):
-        return False
+    if str(lines) != match.group(2) or not kept.endswith(b"\n" * lines):
+        return None
     # from start - 1 this also finds an empty first line; a backward
     # search for b"\n\n" runs about twice as fast as a forward one
     if not raw.endswith(b"\n") or raw.rfind(b"\n\n", start - 1) >= 0:
-        return False
+        return None
     # the int-string digit limit, read per call since it can be reset; 0
     # (or an interpreter that predates it) means none
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
-        return True
+        return match
     # a line of limit + 1 digits covers a whole block of `step` bytes on
     # any grid of that spacing, so some probe finds no newline; a shorter
     # line may too, and then merely takes the per-line walk
     step = (limit + 2) // 2
-    return all(raw.find(b"\n", i, i + step) >= 0 for i in range(start, len(raw), step))
+    probes = range(start, len(raw), step)
+    return match if all(raw.find(b"\n", i, i + step) >= 0 for i in probes) else None
 
 
 def _walk_lines(raw):
@@ -348,10 +384,13 @@ def _walk_lines(raw):
 def _parse_cache(raw, top, head):
     # (series holding values as _read_cache returns them, value count, the
     # file's bytes in save_series' layout), checked in full
-    start = raw.find(b"\n") + 1
-    # latin-1 decodes any byte; the pattern matches ASCII only
-    match = start and _HEADER_RE.match(raw[: start - 1].decode("latin-1"))
-    if not (match and _is_canonical(raw, start, match.group(2))):
+    match = _canonical_header(raw)
+    # CRLF endings are common enough to skip the walk too; on the 8001-value
+    # P cache the test for a CR byte takes 6 us, one for CRLF 0.5 ms
+    if not match and b"\r" in raw:
+        match = _canonical_header(lf := raw.replace(b"\r\n", b"\n"))
+        raw = lf if match else raw
+    if not match:  # the walk of the bytes as read names every error
         match, raw = _walk_lines(raw)
     kind, count = match.group(1), int(match.group(2))
     if top is None or top >= count:  # ensure grows from every value
@@ -373,11 +412,11 @@ def _parse_cache(raw, top, head):
 def _read_cache(path, top=None, head=None):
     """(series holding values 0..top, or all of them for None; the file's
     value count).  The whole file is checked, and the same CacheFormatError
-    names the same first bad line.  A file not in save_series' layout is
-    first walked into it; then int() runs only on the values returned:
-    with ``head``, only on 0..head - 1 and top, None between, for a count
-    whose plan (core._plan) reads no more, unless the file ends before
-    top."""
+    names the same first bad line.  A file not in save_series' layout,
+    CRLF endings aside, is first walked into it; then int() runs only on
+    the values returned: with ``head``, only on 0..head - 1 and top, None
+    between, for a count whose plan (core._plan) reads no more, unless the
+    file ends before top."""
     # fspath refuses an int, which open() would take as a descriptor
     with open(os.fspath(path), "rb") as f:
         return _parse_cache(f.read(), top, head)[:2]
@@ -396,8 +435,9 @@ def _cache_checksum(path):
 
 
 def load_series(path):
-    """Read a cache file back: a file not in save_series' layout is
-    first walked line by line into it, then one int() per value.
+    """Read a cache file back: a file not in save_series' layout, CRLF
+    endings aside, is first walked line by line into it, then one int()
+    per value.
 
     Returns a PartitionSeries or DistinctSeries as the header says, or
     raises CacheFormatError naming the first bad line: non-ASCII bytes, a
