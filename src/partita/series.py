@@ -23,10 +23,10 @@ Extension always restarts at the first missing index, so a cache only
 ever grows and existing entries are never rewritten.  All values are
 exact Python integers.
 
-A saved cache is read one way: a file in neither save_series' layout nor
-that layout with CRLF endings is first walked line by line into it, leading
-zeros dropped; then int() runs only on the values the caller reads, and
-``cache info`` hashes the laid-out bytes.
+A saved cache is read one way: a file not in save_series' layout is
+first walked line by line into it, leading zeros dropped; then int()
+runs only on the values the caller reads, and ``cache info`` hashes the
+laid-out bytes.
 
 Thread contract: a cache may be shared across threads.  Reading the
 materialized prefix takes no lock, and an ``ensure`` that finds its
@@ -80,9 +80,9 @@ def is_generalized_pentagonal(n: int) -> bool:
     return r * r == x and r % 6 in (1, 5)
 
 
-# Widths of the square-lag kernel's blocks and sub-blocks; blocks of 1024
-# measured faster than 64, 256 and 4096.
-_BLOCK, _SUB_BLOCK = 1024, 128
+# Width of the square-lag kernel's blocks.  Cold builds of P and Q to 10^4
+# and 4*10^4 tie for widths 256 to 2048 and run slower at times for 4096.
+_BLOCK = 1024
 
 
 def _alternating_sum(v, arg, step, grow):
@@ -136,37 +136,27 @@ def _lag_sums(v, start, stop, lags):
     return list(map(sum, zip(*slices))) or [0] * (stop - start)
 
 
-def _square_sums(v, start, stop, c, low, high):
-    # [odd, even]: per i in range(start, stop), the sums of v[i - c*k^2]
-    # over the odd and the even k with low <= c*k^2 < high
-    lags = [c * k * k for k in range(1, isqrt((high - 1) // c) + 1)]
-    return [_lag_sums(v, start, stop, [g for g in lags[r::2] if g >= low]) for r in (0, 1)]
-
-
 def _extend_square(values, n, c, base):
     # values[i] = base[i] + 2 sum_{k>=1} (-1)^(k+1) values[i - c*k^2] up to
     # n, with base(values, s, e) = base[s:e].  A block [s, e) is no wider
     # than s, so each lag of at least its width w reads finished entries
-    # only and is one slice for the whole block; sub-blocks of width v do
-    # the same for the lags in [v, w), and the lags below v go per entry.
+    # only and is one slice for the whole block; the lags below w go per
+    # entry, as each entry is appended.
     s = len(values)
     while s <= n:
         w = min(_BLOCK, s, n + 1 - s)
         e = s + w
-        odd, even = _square_sums(values, s, e, c, w, e)
-        block = [b + 2 * (x - y) for b, x, y in zip(base(values, s, e), odd, even)]
-        v = min(_SUB_BLOCK, w)
-        lags = [-c * k * k for k in range(1, isqrt((v - 1) // c) + 1)]
-        odd_lags, even_lags = lags[::2], lags[1::2]
-        for t in range(s, e, v):
-            sums = _square_sums(values, t, min(t + v, e), c, v, w)
-            for a, odd, even in zip(block[t - s : t - s + v], *sums):
-                # len(values) == i here, so values[-c*k*k] is values[i - c*k*k]
-                for lag in odd_lags:
-                    odd += values[lag]
-                for lag in even_lags:
-                    even += values[lag]
-                values.append(a + 2 * (odd - even))
+        lags = [c * k * k for k in range(1, isqrt((e - 1) // c) + 1)]
+        # odd k at lags[0::2], even k at lags[1::2]
+        far = [_lag_sums(values, s, e, [g for g in lags[r::2] if g >= w]) for r in (0, 1)]
+        odd_near, even_near = ([-g for g in lags[r::2] if g < w] for r in (0, 1))
+        for b, odd, even in zip(base(values, s, e), *far):
+            # len(values) == i here, so values[-g] is values[i - g]
+            for lag in odd_near:
+                odd += values[lag]
+            for lag in even_near:
+                even += values[lag]
+            values.append(b + 2 * (odd - even))
         s = e
 
 
@@ -307,38 +297,31 @@ def save_series(series, path):
         f.write(serialize_series(series))
 
 
-def _canonical_header(raw):
-    """The header match when raw is in save_series' layout, else None: a
-    header line, then as many nonempty lines of ASCII digits as it counts,
-    each newline-terminated and within the digit limit, leading zeros allowed.
-    Byte scans of raw in place: a copy of a large file costs more than a
-    scan of it."""
-    start = raw.find(b"\n") + 1
-    # latin-1 decodes any byte; the pattern matches ASCII only
-    match = start and _HEADER_RE.match(raw[: start - 1].decode("latin-1"))
-    if not match:
-        return None
+def _is_canonical(raw, start, count):
+    """True when raw[start:], the value lines, is in save_series' layout:
+    ``count`` nonempty lines of ASCII digits, each newline-terminated and
+    within the digit limit, leading zeros allowed.  Byte scans of raw in
+    place: a copy of a large file costs more than a scan of it."""
     # deleting the digits must leave the header's own bytes, then exactly
     # `count` newlines: the line count and the stray-byte scan in one pass
     kept = raw.translate(None, b"0123456789")
     lines = len(kept) - len(raw[:start].translate(None, b"0123456789"))
-    if str(lines) != match.group(2) or not kept.endswith(b"\n" * lines):
-        return None
+    if str(lines) != count or not kept.endswith(b"\n" * lines):
+        return False
     # from start - 1 this also finds an empty first line; a backward
     # search for b"\n\n" runs about twice as fast as a forward one
     if not raw.endswith(b"\n") or raw.rfind(b"\n\n", start - 1) >= 0:
-        return None
+        return False
     # the int-string digit limit, read per call since it can be reset; 0
     # (or an interpreter that predates it) means none
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
-        return match
+        return True
     # a line of limit + 1 digits covers a whole block of `step` bytes on
     # any grid of that spacing, so some probe finds no newline; a shorter
     # line may too, and then merely takes the per-line walk
     step = (limit + 2) // 2
-    probes = range(start, len(raw), step)
-    return match if all(raw.find(b"\n", i, i + step) >= 0 for i in probes) else None
+    return all(raw.find(b"\n", i, i + step) >= 0 for i in range(start, len(raw), step))
 
 
 def _walk_lines(raw):
@@ -384,13 +367,10 @@ def _walk_lines(raw):
 def _parse_cache(raw, top, head):
     # (series holding values as _read_cache returns them, value count, the
     # file's bytes in save_series' layout), checked in full
-    match = _canonical_header(raw)
-    # CRLF endings are common enough to skip the walk too; on the 8001-value
-    # P cache the test for a CR byte takes 6 us, one for CRLF 0.5 ms
-    if not match and b"\r" in raw:
-        match = _canonical_header(lf := raw.replace(b"\r\n", b"\n"))
-        raw = lf if match else raw
-    if not match:  # the walk of the bytes as read names every error
+    start = raw.find(b"\n") + 1
+    # latin-1 decodes any byte; the pattern matches ASCII only
+    match = start and _HEADER_RE.match(raw[: start - 1].decode("latin-1"))
+    if not (match and _is_canonical(raw, start, match.group(2))):
         match, raw = _walk_lines(raw)
     kind, count = match.group(1), int(match.group(2))
     if top is None or top >= count:  # ensure grows from every value
@@ -412,11 +392,11 @@ def _parse_cache(raw, top, head):
 def _read_cache(path, top=None, head=None):
     """(series holding values 0..top, or all of them for None; the file's
     value count).  The whole file is checked, and the same CacheFormatError
-    names the same first bad line.  A file not in save_series' layout,
-    CRLF endings aside, is first walked into it; then int() runs only on
-    the values returned: with ``head``, only on 0..head - 1 and top, None
-    between, for a count whose plan (core._plan) reads no more, unless the
-    file ends before top."""
+    names the same first bad line.  A file not in save_series' layout is
+    first walked into it; then int() runs only on the values returned:
+    with ``head``, only on 0..head - 1 and top, None between, for a count
+    whose plan (core._plan) reads no more, unless the file ends before
+    top."""
     # fspath refuses an int, which open() would take as a descriptor
     with open(os.fspath(path), "rb") as f:
         return _parse_cache(f.read(), top, head)[:2]
@@ -435,9 +415,8 @@ def _cache_checksum(path):
 
 
 def load_series(path):
-    """Read a cache file back: a file not in save_series' layout, CRLF
-    endings aside, is first walked line by line into it, then one int()
-    per value.
+    """Read a cache file back: a file not in save_series' layout is
+    first walked line by line into it, then one int() per value.
 
     Returns a PartitionSeries or DistinctSeries as the header says, or
     raises CacheFormatError naming the first bad line: non-ASCII bytes, a
