@@ -49,6 +49,10 @@ def _positive(text):
 def _fraction(text):
     # accepts "2.7", "27/10", "3"; stored exactly, never as a float
     try:
+        core._check_exponent(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")

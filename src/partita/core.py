@@ -16,7 +16,8 @@ provided together with an automatic dispatcher:
 The dispatcher ``p_parts`` adds closed forms for m <= 6 and the shortcut
 P(n, m) = P(n - m) for m >= ceil(n / 2), and switches between the two
 algorithms at m = c * sqrt(n) (c configurable, default 2.7).  With a
-warm series cache every dispatch path is O(n^(3/2)) or better.
+warm series cache every dispatch path takes O(n^(3/2)) additions or
+fewer, of integers that grow with n, so its time grows faster.
 
 The default misroutes a band: measured with a warm series, algorithm 1
 is slower than algorithm 2 from about m = 0.6 * sqrt(n), and 17-33x
@@ -28,6 +29,7 @@ All counts are exact Python integers; closed forms use exact rational
 rounding, never floating point.  Indices are bounded by INDEX_CEILING.
 """
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, count
@@ -67,6 +69,15 @@ FAST_PATH = "fast-path"
 DEFAULT_CROSSOVER = Fraction(27, 10)
 
 
+def _check_exponent(text):
+    # Fraction("1e1000000000") would first build 10**1000000000: a decimal
+    # exponent beyond the default int-string digit limit, 4300, is refused
+    match = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    if match and abs(int(match.group(1))) > 4300:
+        raise ValueError(f"decimal exponent of {text!r} exceeds the limit 4300")
+    return text
+
+
 def _as_fraction(constant):
     if isinstance(constant, bool):
         raise ValueError("crossover constant must be a number, got bool")
@@ -76,7 +87,7 @@ def _as_fraction(constant):
         value = Fraction(constant)
     else:
         # via the decimal text so float 2.7 means exactly 27/10
-        value = Fraction(str(constant))
+        value = Fraction(_check_exponent(str(constant)))
     if value < 0:
         raise ValueError("crossover constant must be nonnegative")
     return value
@@ -191,18 +202,29 @@ def p_parts_alg2(n: int, m: int, cache: PartitionSeries | None = None) -> int:
         P(n, m) = P(n - m) + sum_i (-1)^i sum_k Q(k, i) * P(kmax - k)
 
     with k running from i*(i + 1)/2 to kmax = n - m*(i + 1).  Each
-    correction is one slot of the series prefix after recurrence stages
-    1..i (see ``_expansion``), so nothing is multiplied: about
-    expansion_depth(n, m) stages of at most n - 2m additions.  Extends
-    ``cache``, a PartitionSeries or None for the shared one, to n - m;
-    anything else raises ValueError.  Requires 1 <= m <= n.
+    correction is the last slot of the series prefix after recurrence
+    stages 1..i (see ``_expansion``), so nothing is multiplied.  Order 1
+    reads the series' running sums; each later stage stops at the width
+    the next order reads, and its own last slot sums the stride-i chain
+    above that width: about expansion_depth(n, m) - 1 stages of at most
+    n - 3m additions.  Extends ``cache``, a PartitionSeries or None for
+    the shared one, to n - m; anything else raises ValueError.  Requires
+    1 <= m <= n.
     """
     _check_span(n, m, "p_parts_alg2")
-    pv = _p_values(cache, n - m)
-    x = pv[n - m]
-    for i, width, a in _expansion(pv, n, m):
-        x += a[width - 1] if i % 2 == 0 else -a[width - 1]
-    return x
+    width = max(n - 2 * m, 0)  # order 1's
+    pv, sums = _p_values(cache, n - m, width)
+    x = pv[n - m] - sums[width]
+    a = sums[1 : max(width - m - 1, 1)]  # the slots of stage 1 order 2 reads
+    for i in count(2):
+        width -= m + i  # order i's
+        if width < 1:
+            return x
+        below = width - m - i - 1  # the next order's
+        _stage_update(a, i, below - 1)
+        # slots below max(below, i) hold stage i, those above stage i - 1
+        last = max(below, i) - 1
+        x += (-1) ** i * sum(a[last - (last - width + 1) % i : width : i])
 
 
 # m = 6 closed form correction, indexed by n mod 6.
@@ -357,11 +379,11 @@ class StepEstimate(namedtuple("StepEstimate", "alg1 alg2 chosen")):
 
 
 def _plan(n, m, constant, method):
-    """(route label, top, head) of P(n, m), whose count reads P(0..head - 1)
-    and P(top) of the series: top is n - m for alg2 and the non-trivial
-    fast path, head max(n - 2m, 0) for alg2 (what _expansion reads), and 0
-    where the route reads none.  Checks what p_parts checks but the cache,
-    then asks _route once."""
+    """(route label, top, head) of P(n, m), whose count reads at most
+    P(0..head - 1) and P(top) of the series: top is n - m for alg2 and the
+    non-trivial fast path, head max(n - 2m, 0) for alg2 (what p_parts_alg2
+    reads), and 0 where the route reads none.  Checks what p_parts checks
+    but the cache, then asks _route once."""
     _check_index(n, "n")
     _check_index(m, "m")
     if method not in _METHODS:

@@ -33,7 +33,8 @@ materialized prefix takes no lock, and an ``ensure`` that finds its
 index present returns without one; extension runs under a per-cache
 lock and appends only, so concurrent callers never see an entry
 rewritten, and a prefix that another thread has already extended is
-never extended twice.
+never extended twice.  The running sums of a P cache that algorithm 2
+reads, one integer per value it has read, keep the same contract.
 """
 
 import hashlib
@@ -42,7 +43,7 @@ import re
 import sys
 import threading
 from io import BytesIO
-from itertools import islice
+from itertools import accumulate, islice
 from math import isqrt
 
 __all__ = [
@@ -234,7 +235,11 @@ class PartitionSeries(_Series):
     ALGORITHMS = ("ewell", "euler")
     KIND = "PCACHE"
 
-    __slots__ = ()
+    __slots__ = ("_sums",)
+
+    def __init__(self, algorithm=None, values=None):
+        super().__init__(algorithm, values)
+        self._sums = [0]
 
     def _extend(self, n):
         if self.algorithm == "euler":
@@ -447,11 +452,23 @@ def shared_q_series() -> DistinctSeries:
     return _shared_q
 
 
-def _p_values(cache, top):
+def _running_sums(series, k):
+    """series' running sums through index k, P(0) + ... + P(j - 1) at j,
+    grown on demand like ``values``: under the series' lock, append-only."""
+    sums = series._sums
+    if k >= len(sums):
+        with series._lock:  # from where another thread may have left them
+            values = series.values[len(sums) - 1 : k]
+            sums += islice(accumulate(values, initial=sums[-1]), 1, None)
+    return sums
+
+
+def _p_values(cache, top, sums=None):
     """cache.values through index top, None meaning the shared P series:
-    the one place a count picks, checks and extends the P series it reads."""
+    the one place a count picks, checks and extends the P series it reads.
+    With ``sums`` = k, the pair (values, _running_sums through index k)."""
     cache = _shared_p if cache is None else cache
     if not isinstance(cache, PartitionSeries):
         raise ValueError(f"expected a PartitionSeries, got {type(cache).__name__}")
     cache.ensure(top)
-    return cache.values
+    return cache.values if sums is None else (cache.values, _running_sums(cache, sums))

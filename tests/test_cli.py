@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -776,3 +777,58 @@ def test_out_of_memory_exits_2():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+# a child process, so that a constant that hangs fails on the timeout
+# instead of stalling the suite
+_LIBRARY_CONSTANT = """
+import sys
+from decimal import Decimal
+from partita import p_parts
+try:
+    p_parts(10, 5, constant=Decimal(sys.argv[1]))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("text", ["1e1000000000", "1e-1000000000"])
+def test_crossover_constant_exponent_is_bounded(text):
+    cli_proc = subprocess.run(
+        [sys.executable, "-m", "partita", "p", "10", "5", "--crossover-constant", text],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert cli_proc.returncode == 2
+    assert "exceeds the limit 4300" in cli_proc.stderr
+    lib_proc = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_CONSTANT, text],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert lib_proc.returncode == 0
+    assert "exceeds the limit 4300" in lib_proc.stdout
+
+
+def test_crossover_constant_exponent_limit_is_inclusive(capsys):
+    assert run(capsys, "p", "10", "5", "--crossover-constant", "1e4300")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["p", "10", "5", "--crossover-constant", "1e-4301"])
+    assert exc.value.code == 2
+    assert "exceeds the limit 4300" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="exceeds the limit 4300"):
+        partita.p_parts(10, 5, constant="1E+4301")
+
+
+@pytest.mark.parametrize(
+    "text,exact,route",
+    [("2.7", Fraction(27, 10), core.ALG2), ("27/10", Fraction(27, 10), core.ALG2),
+     ("1e30", Fraction(10**30), core.ALG1)],
+)
+def test_crossover_constant_spellings_route_as_their_fraction(capsys, text, exact, route):
+    # (400, 60) is alg2 at 2.7 and alg1 at 10^30, in the CLI and the library
+    code, out, _ = run(
+        capsys, "p", "400", "60", "--crossover-constant", text, "--explain", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["params"]["chosen"] == route
+    for constant in (text, exact, float(exact)):
+        assert partita.dispatch_plan(400, 60, constant).chosen == route

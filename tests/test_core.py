@@ -1,7 +1,11 @@
 """Scalar counts: both algorithms, closed forms, step models, crossover
 arithmetic, and the dispatcher's routing rules."""
 
+import sys
+import threading
+import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +34,7 @@ from partita import (
     practical_crossover,
     q_column,
     q_parts,
+    series,
 )
 
 KNOWN = [
@@ -405,3 +410,74 @@ def test_expansion_matches_its_definition(p_series_long):
                 ]
                 assert a[:width] == want
             assert orders == list(range(1, expansion_depth(n, m) + 1))
+
+
+def _running_sums_are_a_prefix(s):
+    return s._sums == list(accumulate(s.values, initial=0))[: len(s._sums)]
+
+
+def test_alg2_reuses_running_sums_as_widths_grow_and_shrink():
+    # one series, alg2 widths n - 2m of 800, 2600, 500, 4400, 1260, 5000,
+    # with the series grown by ensure in between
+    s = PartitionSeries()
+    steps = [(1000, 100), 2000, (3000, 200), (600, 50), 6000, (5000, 300),
+             (1500, 120), 7000, (5500, 250)]
+    for step in steps:
+        if isinstance(step, int):
+            s.ensure(step)
+            continue
+        n, m = step
+        assert p_parts_alg2(n, m, s) == p_parts_alg1(n, m), (n, m)
+    assert len(s._sums) == 5001
+    assert _running_sums_are_a_prefix(s)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 30])
+@pytest.mark.parametrize("per_m,plus,depth", [(0, 1, 1), (0, 2, 1), (1, 2, 1), (1, 3, 2)])
+def test_alg2_boundary_widths(m, per_m, plus, depth):
+    # n - 2m of 1 and 2 runs order 1 alone; at m + 2 order 2's width is 0;
+    # at m + 3 it is 1, with no slot below the next order's width
+    width = per_m * m + plus
+    n = 2 * m + width
+    assert expansion_depth(n, m) == depth
+    shared = PartitionSeries()
+    assert p_parts_alg2(n, m) == p_parts_alg2(n, m, shared) == p_parts_alg1(n, m)
+    assert len(shared._sums) == width + 1
+    assert _running_sums_are_a_prefix(shared)
+
+
+def test_alg2_threads_share_one_fresh_series(monkeypatch):
+    # four threads, more than the cores, count on one fresh series at once,
+    # each growing its running sums to other widths; every extension sleeps
+    # between reading the sums' length and appending, so two threads that
+    # extend from the same length at once would leave a wrong list
+    def sleepy_accumulate(*args, **kwargs):
+        time.sleep(0.002)
+        return accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(series, "accumulate", sleepy_accumulate)
+    points = [[(3000 + 37 * t + 101 * k, 150 + 20 * k + 3 * t) for k in range(6)]
+              for t in range(4)]
+    expected = [[p_parts_alg1(n, m) for n, m in row] for row in points]
+    shared = PartitionSeries()
+    results = [None] * 4
+    start = threading.Barrier(4)
+
+    def count(t):
+        start.wait(timeout=30)
+        results[t] = [p_parts_alg2(n, m, shared) for n, m in points[t]]
+
+    threads = [threading.Thread(target=count, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+    assert len(shared._sums) == max(n - 2 * m for row in points for n, m in row) + 1
+    assert _running_sums_are_a_prefix(shared)

@@ -1,6 +1,7 @@
 """One plan per scalar call: ``core._plan`` names the route and the
-P-series values it reads, P(0..head - 1) and P(top), the count reads
-exactly those, and the CLI converts no others from a ``--cache`` file.  Also pins the call chain a tracer
+P-series values it reads, P(0..head - 1) and P(top), a count on a series
+without running sums reads exactly those, and the CLI converts no others
+from a ``--cache`` file.  Also pins the call chain a tracer
 relies on: the CLI counts through ``core.p_parts``/``core.q_parts``,
 ``q_parts`` goes through ``p_parts``, and ``_route`` runs once per plan."""
 
@@ -48,6 +49,7 @@ def test_plan_index_is_what_the_count_reads(ensured):
                 assert core.p_parts(n, m, held, method=method) == value, (n, m, method)
                 if head:  # and P(head - 1) is read
                     holes[head - 1] = None
+                    held = series.PartitionSeries(values=holes)
                     with pytest.raises(TypeError):
                         core.p_parts(n, m, held, method=method)
 
