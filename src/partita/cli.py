@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from time import perf_counter_ns
 
 from . import core, lists, oracle, series
@@ -49,16 +48,9 @@ def _positive(text):
 def _fraction(text):
     # accepts "2.7", "27/10", "3"; stored exactly, never as a float
     try:
-        core._check_exponent(text)
+        return core._as_fraction(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
 
 
 def _emit(text, out_path):
@@ -121,12 +113,12 @@ def _sequence_output(args, kind, params, start, values):
 
 def _cmd_scalar(args):
     distinct = args.kind == "q"
-    n, m, constant = args.n, args.m, args.crossover_constant
+    n, m = args.n, args.m
     if distinct:
         series._check_index(n)  # q_parts' own check, before the cache is read
     shifted = core._staircase(n, m) if distinct else n
     # P(shifted, m)'s plan comes before any read or count, --oracle included
-    route, top, head = core._plan(shifted, m, constant, args.algorithm)
+    route, top, head = core._plan(shifted, m, args.crossover_constant, args.algorithm)
     if args.oracle:
         oracle._guard(n)  # the oracle limit, before the cache is read
     cache = None if args.cache is None else _load_p_cache(args.cache, top, head)
@@ -134,8 +126,7 @@ def _cmd_scalar(args):
         route = "oracle"
         value = oracle.count_partitions(n, m, distinct=distinct)
     else:
-        count = core.q_parts if distinct else core.p_parts
-        value = count(n, m, cache, constant, args.algorithm)
+        value = core._count(route, shifted, m, top, cache)
     plan = core._estimate(shifted, m, route) if args.explain else None
     return _scalar_output(args, value, plan)
 

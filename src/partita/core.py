@@ -69,16 +69,8 @@ FAST_PATH = "fast-path"
 DEFAULT_CROSSOVER = Fraction(27, 10)
 
 
-def _check_exponent(text):
-    # Fraction("1e1000000000") would first build 10**1000000000: a decimal
-    # exponent beyond the default int-string digit limit, 4300, is refused
-    match = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
-    if match and abs(int(match.group(1))) > 4300:
-        raise ValueError(f"decimal exponent of {text!r} exceeds the limit 4300")
-    return text
-
-
 def _as_fraction(constant):
+    # the one parser of the crossover constant, the CLI's included
     if isinstance(constant, bool):
         raise ValueError("crossover constant must be a number, got bool")
     if isinstance(constant, Fraction):
@@ -86,8 +78,17 @@ def _as_fraction(constant):
     elif isinstance(constant, int):
         value = Fraction(constant)
     else:
-        # via the decimal text so float 2.7 means exactly 27/10
-        value = Fraction(_check_exponent(str(constant)))
+        # via the decimal text so float 2.7 means exactly 27/10.
+        # Fraction("1e1000000000") would first build 10**1000000000: a
+        # decimal exponent beyond the int-string digit limit, 4300, is refused
+        text = str(constant)
+        match = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+        if match and abs(int(match.group(1))) > 4300:
+            raise ValueError(f"decimal exponent of {text!r} exceeds the limit 4300")
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"not a number: {text!r}") from None
     if value < 0:
         raise ValueError("crossover constant must be nonnegative")
     return value
@@ -383,7 +384,7 @@ def _plan(n, m, constant, method):
     P(0..head - 1) and P(top) of the series: top is n - m for alg2 and the
     non-trivial fast path, head max(n - 2m, 0) for alg2 (what p_parts_alg2
     reads), and 0 where the route reads none.  Checks what p_parts checks
-    but the cache, then asks _route once."""
+    but the cache, then asks _route once; _count runs the plan."""
     _check_index(n, "n")
     _check_index(m, "m")
     if method not in _METHODS:
@@ -426,8 +427,15 @@ def p_parts(
     the value, and "closed" is refused for m > 6 whatever n is.
     ``cache`` is a PartitionSeries, extended on demand, or None for the
     shared one; anything else raises ValueError when a route reads it.
+    Runs _plan, which decides the route, then _count, which takes it.
     """
     route, top, _ = _plan(n, m, constant, method)
+    return _count(route, n, m, top, cache)
+
+
+def _count(route, n, m, top, cache):
+    """P(n, m) along the route and series index top of its _plan: the one
+    executor of a planned count, shared by p_parts and the CLI."""
     if route == FAST_PATH:
         return _p_values(cache, top)[top] if top else int(n == m)
     if route == CLOSED_FORM:

@@ -578,6 +578,8 @@ def test_cached_counts_match_uncached_on_both_sides_of_the_file(capsys, tmp_path
             expected = run(capsys, *argv)
             assert run(capsys, *argv, "--cache", str(path)) == expected, argv
             if expected[0] == 0:
+                library = partita.q_parts if kind == "q" else partita.p_parts
+                assert expected[1] == f"{library(n, m, method=method)}\n", argv
                 route, top, _ = core._plan(shifted, m, core.DEFAULT_CROSSOVER, method)
                 side = "trivial" if m == 0 or shifted <= m else (top > last) - (top < last)
                 seen.add((kind, route, side))

@@ -381,6 +381,7 @@ def test_big_value_integrity():
         (q_parts, (3, 10), {"method": "closed"}),
         (p_parts, (3, 5), {"constant": True}),
         (dispatch_plan, (10, 8), {"constant": False}),
+        (p_parts, (3, 5), {"constant": "1/0"}),
     ],
 )
 def test_bad_options_rejected_before_trivial_cases(fn, args, options):

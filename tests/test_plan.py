@@ -1,9 +1,9 @@
 """One plan per scalar call: ``core._plan`` names the route and the
 P-series values it reads, P(0..head - 1) and P(top), a count on a series
 without running sums reads exactly those, and the CLI converts no others
-from a ``--cache`` file.  Also pins the call chain a tracer
-relies on: the CLI counts through ``core.p_parts``/``core.q_parts``,
-``q_parts`` goes through ``p_parts``, and ``_route`` runs once per plan."""
+from a ``--cache`` file.  Also pins the call chain: the CLI runs the
+plan it made through ``core._count``, calling neither ``core.p_parts``
+nor ``core.q_parts``, so ``_route`` runs once per command."""
 
 from collections import Counter
 
@@ -95,17 +95,17 @@ def traced(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv,counts",
+    "argv",
     [
-        (["q", "400", "20"], {"q_parts": 1, "p_parts": 1}),
-        (["q", "400", "20", "--explain"], {"q_parts": 1, "p_parts": 1}),
-        (["p", "400", "80"], {"p_parts": 1}),
-        (["p", "400", "80", "--explain"], {"p_parts": 1}),
+        ["q", "400", "20"],
+        ["q", "400", "20", "--explain"],
+        ["p", "400", "80"],
+        ["p", "400", "80", "--explain"],
     ],
     ids=["q", "q-explain", "p", "p-explain"],
 )
-def test_cli_counts_through_p_parts_and_plans_twice(capsys, traced, argv, counts):
-    # once in the CLI's plan, once in the plan of the p_parts it calls
+def test_cli_plans_once(capsys, traced, argv):
+    # the CLI's own plan, counted by core._count, not by p_parts or q_parts
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert traced == Counter({**counts, "_route": 2})
+    assert traced == Counter({"_route": 1})
