@@ -114,8 +114,6 @@ def _sequence_output(args, kind, params, start, values):
 def _cmd_scalar(args):
     distinct = args.kind == "q"
     n, m = args.n, args.m
-    if distinct:
-        series._check_index(n)  # q_parts' own check, before the cache is read
     shifted = core._staircase(n, m) if distinct else n
     # P(shifted, m)'s plan comes before any read or count, --oracle included
     route, top, head = core._plan(shifted, m, args.crossover_constant, args.algorithm)

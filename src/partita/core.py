@@ -8,10 +8,11 @@ provided together with an automatic dispatcher:
   m * (n - m) slot updates, so it wins for small m.
 * ``p_parts_alg2`` expands P(n, m) against the cached list of P(0..n-m)
   as an alternating sum of correction terms, one per possible count i
-  of distinct parts.  Term i is read off the series prefix after the
-  same recurrence stages 1..i that algorithm 1 runs (``_expansion``), so
-  the expansion takes additions only; the number of terms shrinks as m
-  grows, so it wins for large m.
+  of distinct parts.  Order 1 reads the running sums kept beside the
+  series, and each later recurrence stage stops at the next order's
+  width (untrimmed, the stages of ``_expansion`` serve ``p_row``,
+  ``p_column``'s conv route and ``q_row``), so it takes additions only;
+  the number of terms shrinks as m grows, so it wins for large m.
 
 The dispatcher ``p_parts`` adds closed forms for m <= 6 and the shortcut
 P(n, m) = P(n - m) for m >= ceil(n / 2), and switches between the two
@@ -341,9 +342,9 @@ def practical_crossover(n: int, constant=DEFAULT_CROSSOVER) -> int:
     return isqrt(c.numerator * c.numerator * n) // c.denominator
 
 
-# Values of p_parts' ``method``, and the route label each forced one takes.
-_METHODS = ("auto", "alg1", "alg2", "closed")
+# The route label each forced ``method`` takes, and the values p_parts accepts.
 _FORCED = {"alg1": ALG1, "alg2": ALG2, "closed": CLOSED_FORM}
+_METHODS = ("auto", *_FORCED)
 
 
 def _route(n, m, c, method="auto"):
@@ -362,7 +363,7 @@ def _route(n, m, c, method="auto"):
         return FAST_PATH
     if m <= 6:
         return CLOSED_FORM
-    if (m * c.denominator) ** 2 <= n * c.numerator * c.numerator:
+    if m <= practical_crossover(n, c):
         return ALG1
     return ALG2
 
@@ -389,10 +390,7 @@ def _plan(n, m, constant, method):
     _check_index(m, "m")
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    # the default skips the Fraction check, which would cost the fast
-    # path about a third of its time
-    c = constant if constant is DEFAULT_CROSSOVER else _as_fraction(constant)
-    route = _route(n, m, c, method)
+    route = _route(n, m, _as_fraction(constant), method)
     if route == ALG2:
         return route, n - m, max(n - 2 * m, 0)
     return route, n - m if route == FAST_PATH and 0 < m < n else 0, 0
@@ -446,9 +444,11 @@ def _count(route, n, m, top, cache):
 
 
 def _staircase(n, m):
-    """max(n - m*(m - 1)/2, 0), the index with Q(n, m) = P(shifted, m).
-
-    Exact below the staircase too: P(k, m) = 0 for 0 <= k < m."""
+    """max(n - m*(m - 1)/2, 0), the index with Q(n, m) = P(shifted, m),
+    exact below the staircase too: P(k, m) = 0 for 0 <= k < m.  Checks n,
+    then m: the one index check of every Q count."""
+    _check_index(n, "n")
+    _check_index(m, "m")
     return max(n - m * (m - 1) // 2, 0)
 
 
@@ -463,9 +463,7 @@ def q_parts(
 
     Subtracting the staircase 0 + 1 + ... + (m - 1) from the parts maps
     these bijectively onto ordinary partitions into m parts, so
-    Q(n, m) = P(n - m*(m - 1)/2, m); zero whenever the shifted index is
-    below m (the staircase itself needs m*(m + 1)/2).  ``cache`` as in p_parts.
+    Q(n, m) = P(n - m*(m - 1)/2, m), which is zero for n < m*(m + 1)/2.
+    The shift (``_staircase``) checks n and m; ``cache`` as in p_parts.
     """
-    _check_index(n, "n")
-    _check_index(m, "m")
     return p_parts(_staircase(n, m), m, cache, constant, method)

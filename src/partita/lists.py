@@ -141,8 +141,6 @@ def q_column(
     Empty when n is below the minimal distinct sum m*(m + 1)/2.  Via the
     staircase shift this is exactly a P column, re-indexed.
     """
-    _check_index(n, "n")
-    _check_index(m, "m")
     shifted = _staircase(n, m)
     if shifted < m:
         _check_strategy(strategy)

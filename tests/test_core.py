@@ -1,6 +1,7 @@
 """Scalar counts: both algorithms, closed forms, step models, crossover
 arithmetic, and the dispatcher's routing rules."""
 
+import re
 import sys
 import threading
 import time
@@ -154,16 +155,18 @@ def test_alg_preconditions():
 
 
 def test_index_validation():
-    with pytest.raises(ValueError):
-        p_parts(-1, 2)
-    with pytest.raises(ValueError):
-        p_parts(5, -2)
-    with pytest.raises(ValueError):
-        p_parts(5.0, 2)
-    with pytest.raises(ValueError):
-        p_parts(True, 1)
-    with pytest.raises(ValueError):
-        p_parts(2**62 + 1, 2)
+    # Q's counts are checked in the staircase shift, with P's messages
+    cases = [
+        ((-1, 2), "n must be nonnegative, got -1"),
+        ((5, -2), "m must be nonnegative, got -2"),
+        ((5.0, 2), "n must be an integer, got float"),
+        ((True, 1), "n must be an integer, got bool"),
+        ((2**62 + 1, 2), "n exceeds the index ceiling 2**62"),
+    ]
+    for args, message in cases:
+        for fn in (p_parts, q_parts, q_column):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fn(*args)
 
 
 def test_expansion_depth_matches_definition():
@@ -208,6 +211,10 @@ def test_step_models_require_valid_range():
         alg1_steps(5, 6)
     with pytest.raises(ValueError):
         alg2_steps(5, 0)
+    with pytest.raises(ValueError):
+        analytic_crossover(0)
+    with pytest.raises(ValueError):
+        analytic_crossover_floor(0)
 
 
 def test_analytic_crossover_satisfies_its_quadratic():
@@ -284,6 +291,7 @@ def test_dispatch_respects_threshold_boundary():
     c = Fraction(27, 10)
     for n in (100, 400, 1000):
         boundary = practical_crossover(n, c)
+        assert (boundary * 10) ** 2 <= n * 27**2 < ((boundary + 1) * 10) ** 2
         if boundary > 6:
             assert dispatch_plan(n, boundary, c).chosen == ALG1
         if 6 < boundary + 1 < (n + 1) // 2:

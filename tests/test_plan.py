@@ -3,7 +3,8 @@ P-series values it reads, P(0..head - 1) and P(top), a count on a series
 without running sums reads exactly those, and the CLI converts no others
 from a ``--cache`` file.  Also pins the call chain: the CLI runs the
 plan it made through ``core._count``, calling neither ``core.p_parts``
-nor ``core.q_parts``, so ``_route`` runs once per command."""
+nor ``core.q_parts``, so ``_route`` runs once per command.  ``_plan``
+parses the crossover constant, the default included."""
 
 from collections import Counter
 
@@ -109,3 +110,17 @@ def test_cli_plans_once(capsys, traced, argv):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert traced == Counter({"_route": 1})
+
+
+def test_plan_parses_the_default_constant(monkeypatch):
+    # the default constant goes through _as_fraction like any other
+    calls = Counter()
+    parse = core._as_fraction
+
+    def counted(constant):
+        calls[constant] += 1
+        return parse(constant)
+
+    monkeypatch.setattr(core, "_as_fraction", counted)
+    assert core._plan(400, 250, core.DEFAULT_CROSSOVER, "auto")[0] == core.FAST_PATH
+    assert calls == Counter({core.DEFAULT_CROSSOVER: 1})

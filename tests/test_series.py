@@ -181,6 +181,7 @@ def test_a_p_series_reader_refuses_anything_else(read):
 def test_getitem_extends_on_demand():
     s = PartitionSeries()
     assert len(s) == 1
+    assert repr(s) == "PartitionSeries(algorithm='ewell', len=1)"
     assert s[10] == 42
     assert len(s) == 11
 
