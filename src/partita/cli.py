@@ -298,6 +298,7 @@ _LIST_COMMANDS = {"row": _cmd_row, "col": _cmd_col, "series": _cmd_series}
 
 
 def build_parser():
+    default_c = f"(default {float(core.DEFAULT_CROSSOVER):g})"
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
         "--format", choices=("plain", "csv", "json"), default="plain",
@@ -314,7 +315,7 @@ def build_parser():
     )
     scalar.add_argument(
         "--crossover-constant", type=_fraction, default=core.DEFAULT_CROSSOVER,
-        metavar="C", help="auto picks alg1 while m <= C*sqrt(n) (default 2.7)",
+        metavar="C", help=f"auto picks alg1 while m <= C*sqrt(n) {default_c}",
     )
     scalar.add_argument(
         "--explain", action="store_true",
@@ -387,7 +388,7 @@ def build_parser():
     )
     bench.add_argument(
         "--crossover-constant", type=_fraction, default=core.DEFAULT_CROSSOVER,
-        metavar="C", help="constant used for the chosen column (default 2.7)",
+        metavar="C", help=f"constant used for the chosen column {default_c}",
     )
     bench.set_defaults(func=_cmd_bench)
 

@@ -80,11 +80,12 @@ def _as_fraction(constant):
         value = Fraction(constant)
     else:
         # via the decimal text so float 2.7 means exactly 27/10.
-        # Fraction("1e1000000000") would first build 10**1000000000: a
-        # decimal exponent beyond the int-string digit limit, 4300, is refused
+        # Fraction("1e1000000000") would build 10**1000000000: an exponent
+        # over 4300, or of more digits than int() reads (4300), is refused
         text = str(constant)
-        match = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
-        if match and abs(int(match.group(1))) > 4300:
+        match = re.search(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+        digits = match and match.group(1).replace("_", "")
+        if digits and (len(digits) > 4300 or int(digits) > 4300):
             raise ValueError(f"decimal exponent of {text!r} exceeds the limit 4300")
         try:
             value = Fraction(text)
@@ -93,6 +94,12 @@ def _as_fraction(constant):
     if value < 0:
         raise ValueError("crossover constant must be nonnegative")
     return value
+
+
+def _check_positive(n, name):
+    _check_index(n, "n")
+    if n < 1:
+        raise ValueError(f"{name} requires n >= 1")
 
 
 def _check_span(n, m, name):
@@ -310,24 +317,19 @@ def alg2_steps(n: int, m: int) -> int:
     return depth * (2 * (n - m) - depth) // 2
 
 
-def analytic_crossover(n: int, bits: int = 64) -> Fraction:
+def analytic_crossover(n: int) -> Fraction:
     """Where the two step models cross: (sqrt(24n + 9) - 3) / 6.
 
-    Returned as a Fraction computed from a scaled integer square root;
-    the absolute error is below 2**-bits.  Requires n >= 1.
+    Returned as a Fraction computed from an integer square root scaled
+    by 2**64; the absolute error is below 2**-64.  Requires n >= 1.
     """
-    _check_index(n, "n")
-    if n < 1:
-        raise ValueError("analytic_crossover requires n >= 1")
-    scaled = isqrt((24 * n + 9) << (2 * bits))
-    return (Fraction(scaled, 1 << bits) - 3) / 6
+    _check_positive(n, "analytic_crossover")
+    return (Fraction(isqrt((24 * n + 9) << 128), 1 << 64) - 3) / 6
 
 
 def analytic_crossover_floor(n: int) -> int:
     """Integer floor of analytic_crossover(n), computed exactly."""
-    _check_index(n, "n")
-    if n < 1:
-        raise ValueError("analytic_crossover_floor requires n >= 1")
+    _check_positive(n, "analytic_crossover_floor")
     return (isqrt(24 * n + 9) - 3) // 6
 
 
@@ -347,12 +349,12 @@ _FORCED = {"alg1": ALG1, "alg2": ALG2, "closed": CLOSED_FORM}
 _METHODS = ("auto", *_FORCED)
 
 
-def _route(n, m, c, method="auto"):
-    """Route label of P(n, m) under ``method``, c the crossover constant as
-    a Fraction: the one place a scalar route is decided.  Forced "closed"
-    with m > 6 raises; m = 0 and n <= m are the fast path under every
-    method; a forced method takes its own route; auto picks in the order
-    p_parts documents.  Pure."""
+def _route(n, m, limit, method="auto"):
+    """Route label of P(n, m) under ``method``, limit the integer
+    practical_crossover(n, c): the one place a scalar route is decided.
+    Forced "closed" with m > 6 raises; m = 0 and n <= m are the fast path
+    under every method; a forced method takes its own route; auto picks
+    in the order p_parts documents, alg1 while m <= limit.  Pure."""
     if method == "closed" and m > 6:
         raise ValueError("closed form requires m <= 6")
     if m == 0 or n <= m:
@@ -363,7 +365,7 @@ def _route(n, m, c, method="auto"):
         return FAST_PATH
     if m <= 6:
         return CLOSED_FORM
-    if m <= practical_crossover(n, c):
+    if m <= limit:
         return ALG1
     return ALG2
 
@@ -385,12 +387,13 @@ def _plan(n, m, constant, method):
     P(0..head - 1) and P(top) of the series: top is n - m for alg2 and the
     non-trivial fast path, head max(n - 2m, 0) for alg2 (what p_parts_alg2
     reads), and 0 where the route reads none.  Checks what p_parts checks
-    but the cache, then asks _route once; _count runs the plan."""
+    but the cache, evaluates practical_crossover(n, constant) once (the
+    plan's one parse of the constant) and asks _route; _count runs it."""
     _check_index(n, "n")
     _check_index(m, "m")
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    route = _route(n, m, _as_fraction(constant), method)
+    route = _route(n, m, practical_crossover(n, constant), method)
     if route == ALG2:
         return route, n - m, max(n - 2 * m, 0)
     return route, n - m if route == FAST_PATH and 0 < m < n else 0, 0

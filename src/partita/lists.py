@@ -22,7 +22,7 @@ route calls.
 
 from operator import add, mul, sub
 
-from .core import _expansion, _recurrence_array, _staircase
+from .core import _check_positive, _expansion, _recurrence_array, _staircase
 from .series import PartitionSeries, _check_index, _p_values
 
 __all__ = [
@@ -66,9 +66,7 @@ def p_row(n: int, cache: PartitionSeries | None = None) -> list:
     Requires n >= 1.  ``cache`` is a PartitionSeries, extended as needed,
     or None for the shared one; anything else raises ValueError.
     """
-    _check_index(n, "n")
-    if n < 1:
-        raise ValueError("p_row requires n >= 1")
+    _check_positive(n, "p_row")
     pv = _p_values(cache, n - 1)
     out = pv[n - 1 :: -1]  # entry m - 1 holds P(n - m), then P(n, m)
     for i, width, a in _expansion(pv, n, 1):
@@ -124,9 +122,7 @@ def q_row(n: int) -> list:
     n - i*(i + 1)/2 counts the partitions of n - i*(i + 1)/2 into parts
     <= i, that is Q(n, i): one read per order.  Requires n >= 1.
     """
-    _check_index(n, "n")
-    if n < 1:
-        raise ValueError("q_row requires n >= 1")
+    _check_positive(n, "q_row")
     return [a[width - 1] for _, width, a in _expansion([1] + [0] * (n - 1), n, 0)]
 
 

@@ -812,12 +812,16 @@ def test_crossover_constant_exponent_is_bounded(text):
 
 def test_crossover_constant_exponent_limit_is_inclusive(capsys):
     assert run(capsys, "p", "10", "5", "--crossover-constant", "1e4300")[0] == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["p", "10", "5", "--crossover-constant", "1e-4301"])
-    assert exc.value.code == 2
-    assert "exceeds the limit 4300" in capsys.readouterr().err
-    with pytest.raises(ValueError, match="exceeds the limit 4300"):
-        partita.p_parts(10, 5, constant="1E+4301")
+    # an exponent of more digits than int() converts gets the same refusal
+    long_exponents = ["1e" + "9" * 5000, "1e-" + "9" * 5000]
+    for text in ["1e-4301", *long_exponents]:
+        with pytest.raises(SystemExit) as exc:
+            main(["p", "10", "5", "--crossover-constant", text])
+        assert exc.value.code == 2
+        assert "exceeds the limit 4300" in capsys.readouterr().err
+    for text in ["1E+4301", *long_exponents]:
+        with pytest.raises(ValueError, match="exceeds the limit 4300"):
+            partita.p_parts(10, 5, constant=text)
 
 
 @pytest.mark.parametrize(

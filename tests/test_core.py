@@ -215,6 +215,8 @@ def test_step_models_require_valid_range():
         analytic_crossover(0)
     with pytest.raises(ValueError):
         analytic_crossover_floor(0)
+    with pytest.raises(TypeError):
+        analytic_crossover(10, bits=64)  # fixed at 64 bits
 
 
 def test_analytic_crossover_satisfies_its_quadratic():

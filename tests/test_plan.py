@@ -4,7 +4,7 @@ without running sums reads exactly those, and the CLI converts no others
 from a ``--cache`` file.  Also pins the call chain: the CLI runs the
 plan it made through ``core._count``, calling neither ``core.p_parts``
 nor ``core.q_parts``, so ``_route`` runs once per command.  ``_plan``
-parses the crossover constant, the default included."""
+parses the crossover constant once on every route, the default included."""
 
 from collections import Counter
 
@@ -112,8 +112,14 @@ def test_cli_plans_once(capsys, traced, argv):
     assert traced == Counter({"_route": 1})
 
 
-def test_plan_parses_the_default_constant(monkeypatch):
-    # the default constant goes through _as_fraction like any other
+@pytest.mark.parametrize(
+    "m,route",
+    [(250, core.FAST_PATH), (4, core.CLOSED_FORM), (30, core.ALG1), (80, core.ALG2)],
+    ids=["fast-path", "closed-form", "alg1", "alg2"],
+)
+def test_plan_parses_the_default_constant(monkeypatch, m, route):
+    # the default constant goes through _as_fraction like any other, once
+    # on every route: _route compares m with the threshold _plan evaluated
     calls = Counter()
     parse = core._as_fraction
 
@@ -122,5 +128,5 @@ def test_plan_parses_the_default_constant(monkeypatch):
         return parse(constant)
 
     monkeypatch.setattr(core, "_as_fraction", counted)
-    assert core._plan(400, 250, core.DEFAULT_CROSSOVER, "auto")[0] == core.FAST_PATH
+    assert core._plan(400, m, core.DEFAULT_CROSSOVER, "auto")[0] == route
     assert calls == Counter({core.DEFAULT_CROSSOVER: 1})

@@ -73,7 +73,7 @@ def test_route_label_is_the_route_taken(calls):
         for m in range(n + 3):
             for method in core._METHODS:
                 try:
-                    label = core._route(n, m, core.DEFAULT_CROSSOVER, method)
+                    label = core._route(n, m, core.practical_crossover(n), method)
                 except ValueError:
                     with pytest.raises(ValueError):
                         core.p_parts(n, m, cache, method=method)
