@@ -18,6 +18,7 @@ memory), 3 malformed cache file.
 """
 
 import argparse
+import decimal
 import functools
 import json
 import sys
@@ -206,6 +207,11 @@ def _bench_table_output(args, rows):
         fields += ["time_alg1_ns", "time_alg2_ns"]
     fields.append("chosen")
     if args.format == "json":
+        # exact at any length: str(Fraction) stops at 4300 digits, Decimal does not
+        c = args.crossover_constant
+        constant = str(decimal.Decimal(c.numerator))
+        if c.denominator != 1:
+            constant += f"/{decimal.Decimal(c.denominator)}"
         payload = {
             "kind": "bench",
             "params": {
@@ -213,7 +219,7 @@ def _bench_table_output(args, rows):
                 "m_range": args.m_range or f"1:{args.n}",
                 "repetitions": args.repetitions,
                 "steps_only": args.steps_only,
-                "crossover_constant": str(args.crossover_constant),
+                "crossover_constant": constant,
             },
             "rows": rows,
         }

@@ -349,27 +349,6 @@ _FORCED = {"alg1": ALG1, "alg2": ALG2, "closed": CLOSED_FORM}
 _METHODS = ("auto", *_FORCED)
 
 
-def _route(n, m, limit, method="auto"):
-    """Route label of P(n, m) under ``method``, limit the integer
-    practical_crossover(n, c): the one place a scalar route is decided.
-    Forced "closed" with m > 6 raises; m = 0 and n <= m are the fast path
-    under every method; a forced method takes its own route; auto picks
-    in the order p_parts documents, alg1 while m <= limit.  Pure."""
-    if method == "closed" and m > 6:
-        raise ValueError("closed form requires m <= 6")
-    if m == 0 or n <= m:
-        return FAST_PATH
-    if method != "auto":
-        return _FORCED[method]
-    if m >= (n + 1) // 2:
-        return FAST_PATH
-    if m <= 6:
-        return CLOSED_FORM
-    if m <= limit:
-        return ALG1
-    return ALG2
-
-
 class StepEstimate(namedtuple("StepEstimate", "alg1 alg2 chosen")):
     """Step models for both algorithms plus the dispatcher's pick, as the
     named tuple (alg1, alg2, chosen).
@@ -386,17 +365,29 @@ def _plan(n, m, constant, method):
     """(route label, top, head) of P(n, m), whose count reads at most
     P(0..head - 1) and P(top) of the series: top is n - m for alg2 and the
     non-trivial fast path, head max(n - 2m, 0) for alg2 (what p_parts_alg2
-    reads), and 0 where the route reads none.  Checks what p_parts checks
-    but the cache, evaluates practical_crossover(n, constant) once (the
-    plan's one parse of the constant) and asks _route; _count runs it."""
+    reads), and 0 where the route reads none.  The one place a scalar
+    route is decided, in the order p_parts documents: checks n, m and the
+    method, evaluates practical_crossover(n, constant) once (the plan's
+    one parse of the constant), then refuses a forced "closed" for m > 6.
+    Pure; _count runs the plan."""
     _check_index(n, "n")
     _check_index(m, "m")
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    route = _route(n, m, practical_crossover(n, constant), method)
+    limit = practical_crossover(n, constant)
+    if method == "closed" and m > 6:
+        raise ValueError("closed form requires m <= 6")
+    if m == 0 or n <= m:
+        return FAST_PATH, 0, 0
+    if method != "auto":
+        route = _FORCED[method]
+    elif m >= (n + 1) // 2:
+        return FAST_PATH, n - m, 0
+    else:
+        route = CLOSED_FORM if m <= 6 else ALG1 if m <= limit else ALG2
     if route == ALG2:
         return route, n - m, max(n - 2 * m, 0)
-    return route, n - m if route == FAST_PATH and 0 < m < n else 0, 0
+    return route, 0, 0
 
 
 def _estimate(n, m, route):

@@ -825,6 +825,21 @@ def test_crossover_constant_exponent_limit_is_inclusive(capsys):
 
 
 @pytest.mark.parametrize(
+    "text,written",
+    [("1e4300", "1" + "0" * 4300), ("1e-4300", "1/1" + "0" * 4300)],
+    ids=["1e4300", "1e-4300"],
+)
+def test_bench_json_writes_any_accepted_constant(capsys, text, written):
+    # numerator and denominator past the int-string limit are written in full
+    code, out, _ = run(
+        capsys, "bench", "60", "--steps-only", "--format", "json",
+        "--crossover-constant", text,
+    )
+    assert code == 0
+    assert json.loads(out)["params"]["crossover_constant"] == written
+
+
+@pytest.mark.parametrize(
     "text,exact,route",
     [("2.7", Fraction(27, 10), core.ALG2), ("27/10", Fraction(27, 10), core.ALG2),
      ("1e30", Fraction(10**30), core.ALG1)],

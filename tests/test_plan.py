@@ -3,8 +3,9 @@ P-series values it reads, P(0..head - 1) and P(top), a count on a series
 without running sums reads exactly those, and the CLI converts no others
 from a ``--cache`` file.  Also pins the call chain: the CLI runs the
 plan it made through ``core._count``, calling neither ``core.p_parts``
-nor ``core.q_parts``, so ``_route`` runs once per command.  ``_plan``
-parses the crossover constant once on every route, the default included."""
+nor ``core.q_parts``, so ``_plan`` runs once per command.  ``_plan``
+parses the crossover constant once on every route, the default included,
+and refuses a doubly bad input with the message of its first check."""
 
 from collections import Counter
 
@@ -84,7 +85,7 @@ def test_cli_reads_the_cache_to_the_plans_index(
 @pytest.fixture
 def traced(monkeypatch):
     seen = Counter()
-    for attr in ("p_parts", "q_parts", "_route"):
+    for attr in ("p_parts", "q_parts", "_plan"):
         fn = getattr(core, attr)
 
         def wrapper(*args, _attr=attr, _fn=fn, **kwargs):
@@ -109,7 +110,7 @@ def test_cli_plans_once(capsys, traced, argv):
     # the CLI's own plan, counted by core._count, not by p_parts or q_parts
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert traced == Counter({"_route": 1})
+    assert traced == Counter({"_plan": 1})
 
 
 @pytest.mark.parametrize(
@@ -119,7 +120,7 @@ def test_cli_plans_once(capsys, traced, argv):
 )
 def test_plan_parses_the_default_constant(monkeypatch, m, route):
     # the default constant goes through _as_fraction like any other, once
-    # on every route: _route compares m with the threshold _plan evaluated
+    # on every route: _plan compares m with the threshold it evaluated
     calls = Counter()
     parse = core._as_fraction
 
@@ -130,3 +131,22 @@ def test_plan_parses_the_default_constant(monkeypatch, m, route):
     monkeypatch.setattr(core, "_as_fraction", counted)
     assert core._plan(400, m, core.DEFAULT_CROSSOVER, "auto")[0] == route
     assert calls == Counter({core.DEFAULT_CROSSOVER: 1})
+
+
+@pytest.mark.parametrize(
+    "n,m,constant,method,message",
+    [
+        (-1, -1, core.DEFAULT_CROSSOVER, "auto", "n must be nonnegative, got -1"),
+        (10, -1, core.DEFAULT_CROSSOVER, "bogus", "m must be nonnegative, got -1"),
+        (10, 8, "abc", "bogus", "unknown method 'bogus'"),
+        (10, 8, "abc", "closed", "not a number: 'abc'"),
+        (3, 8, core.DEFAULT_CROSSOVER, "closed", "closed form requires m <= 6"),
+    ],
+    ids=["n-before-m", "m-before-method", "method-before-constant",
+         "constant-before-closed", "closed-at-a-trivial-point"],
+)
+def test_plan_refuses_in_order(n, m, constant, method, message):
+    # an input bad in two ways gets the message of _plan's first check
+    with pytest.raises(ValueError) as raised:
+        core._plan(n, m, constant, method)
+    assert str(raised.value) == message

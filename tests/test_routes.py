@@ -67,13 +67,13 @@ _ROUTE_FUNCTIONS = {
 
 
 def test_route_label_is_the_route_taken(calls):
-    # p_parts runs exactly what _route names, trivial cases included
+    # p_parts runs exactly what _plan names, trivial cases included
     cache = series.PartitionSeries()
     for n in range(41):
         for m in range(n + 3):
             for method in core._METHODS:
                 try:
-                    label = core._route(n, m, core.practical_crossover(n), method)
+                    label = core._plan(n, m, core.DEFAULT_CROSSOVER, method)[0]
                 except ValueError:
                     with pytest.raises(ValueError):
                         core.p_parts(n, m, cache, method=method)
